@@ -16,6 +16,10 @@ Highlights of the landscape these rules encode:
 * parabolic integers: the only primes are ``±k``; off the axis an element
   ``x + ky`` (taken with x > 0) is irreducible iff x is prime, or x is a
   prime power ``p^γ`` (γ >= 2) with ``p ∤ y``.
+
+Each ring's rule is stated once, in ``_verdict``; :func:`is_prime`,
+:func:`is_irreducible`, :func:`classify` and :func:`planeint.factor.split`
+all read their answer from it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Classification, Element, RingKind
-from .factor import is_prime_int, int_factor, sum_two_squares
+from .integers import int_factor, is_prime_int, sum_two_squares
 
 
 @dataclass(frozen=True)
@@ -44,60 +48,45 @@ class IrreducibleForm:
         return Element(RingKind.HYPERBOLIC, half + 1, self.sign_y * (half - 1))
 
 
-def _two_power_exponent(n: int) -> int | None:
-    """e with n == 2^e, or None."""
-    if n < 1 or n & (n - 1):
-        return None
-    return n.bit_length() - 1
+def _verdict(z: Element) -> tuple[bool, bool]:
+    """``(prime, irreducible)`` for a nonzero non-unit z."""
+    if z.kind is RingKind.PARABOLIC:
+        if z.x == 0:
+            return abs(z.y) == 1, abs(z.y) == 1
+        _, primes = int_factor(z.x)
+        if len(primes) != 1:
+            return False, False
+        p, g = primes[0]
+        return False, g == 1 or z.y % p != 0
+    ep = z.eta_plus
+    if z.kind is RingKind.HYPERBOLIC:
+        if ep == 0:
+            return abs(z.x) == 1, False  # on the diagonals |x| == |y|
+        if is_prime_int(ep):
+            return True, True
+        if ep < 4 or ep & (ep - 1):
+            return False, False
+        # the irreducible non-primes of norm 2^(γ+2) are the associates ±z, ±jz
+        # of (2^γ+1) ± j(2^γ-1), i.e. {|x|, |y|} == {2^γ+1, 2^γ-1}
+        half = ep >> 2
+        return False, {abs(z.x), abs(z.y)} == {half + 1, half - 1}
+    # elliptic: prime norm, or an associate of an integer prime p ≡ 3 (mod 4)
+    if z.x and z.y:
+        prime = is_prime_int(ep)
+    else:
+        n = abs(z.x + z.y)
+        prime = n % 4 == 3 and is_prime_int(n)
+    return prime, prime
 
 
 def is_prime(z: Element) -> bool:
     """Prime in the ring-theoretic sense: ``p | ab`` forces ``p | a`` or ``p | b``."""
-    if not z or z.is_unit():
-        return False
-    kind = z.kind
-    if kind is RingKind.PARABOLIC:
-        return z.x == 0 and abs(z.y) == 1
-    if kind is RingKind.HYPERBOLIC:
-        if z.eta == 0:
-            return abs(z.x) == 1 and abs(z.y) == 1
-        return is_prime_int(z.eta_plus)
-    return is_irreducible(z)
+    return bool(z) and not z.is_unit() and _verdict(z)[0]
 
 
 def is_irreducible(z: Element) -> bool:
     """Irreducible: every factorization has a unit factor."""
-    if not z or z.is_unit():
-        return False
-    kind = z.kind
-    if kind is RingKind.PARABOLIC:
-        if z.x == 0:
-            return abs(z.y) == 1
-        x = abs(z.x)
-        if is_prime_int(x):
-            return True
-        _, primes = int_factor(x)
-        if len(primes) != 1:
-            return False
-        p, _ = primes[0]
-        return z.y % p != 0
-    ep = z.eta_plus
-    if kind is RingKind.HYPERBOLIC:
-        if ep == 0:
-            return False
-        if is_prime_int(ep):
-            return True
-        e = _two_power_exponent(ep)
-        if e is None or e < 2:
-            return False
-        half = 1 << (e - 2)
-        c = z.canonical_associate()[0]
-        return c.x == half + 1 and abs(c.y) == half - 1
-    # elliptic
-    if is_prime_int(ep):
-        return True
-    c = z.canonical_associate()[0]
-    return c.y == 0 and c.x % 4 == 3 and is_prime_int(c.x)
+    return bool(z) and not z.is_unit() and _verdict(z)[1]
 
 
 def classify(z: Element) -> Classification:
@@ -106,8 +95,8 @@ def classify(z: Element) -> Classification:
         return Classification(True, False, True, False, False, False)
     if z.is_unit():
         return Classification(False, True, False, False, False, False)
-    irr = is_irreducible(z)
-    return Classification(False, False, z.is_zero_divisor(), is_prime(z), irr, not irr)
+    prime, irr = _verdict(z)
+    return Classification(False, False, z.is_zero_divisor(), prime, irr, not irr)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from fractions import Fraction
 from . import analytic, euclid, oracle, quadratic
 from .classify import classify as classify_element
 from .core import Element, RingError, RingKind, format_element, norm_data
-from .factor import diff_two_squares, factor as factor_element, two_adic_valuation
+from .factor import factor as factor_element
+from .integers import diff_two_squares, two_adic_valuation
 
 MAX_TABLE_BOUND = 100
 

@@ -5,130 +5,24 @@ irreducibles (the diagonals themselves contain no irreducibles, so they are
 a hard error here).  Factorizations are not unique in the hyperbolic and
 parabolic rings; :func:`factor` returns one deterministic choice with
 canonical-associate factors sorted by norm.
+
+:func:`split` decides irreducibility through :mod:`planeint.classify`; the
+``_split_*`` helpers only build the witness for an element already known
+to be reducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 
+from .classify import is_irreducible
 from .core import Element, RingError, RingKind
 from .euclid import divides
-
-_TRIAL_OFFSETS = (4, 2, 4, 2, 4, 6, 2, 6)  # wheel mod 30 after 2, 3, 5
+from .integers import int_factor, sum_two_squares
 
 
 class ZeroDivisorFactorizationError(RingError):
     """The hyperbolic diagonals contain no irreducible elements."""
-
-
-# -- plain integer helpers ---------------------------------------------------
-
-
-def is_prime_int(n: int) -> bool:
-    """Deterministic trial division; adequate at desk scale."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5):
-        if n % p == 0:
-            return n == p
-    f = 7
-    i = 0
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += _TRIAL_OFFSETS[i]
-        i = (i + 1) % 8
-    return True
-
-
-def int_factor(n: int) -> tuple[int, list[tuple[int, int]]]:
-    """Sign and prime factorization of a nonzero integer, exponents collected."""
-    if n == 0:
-        raise ValueError("0 has no factorization")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out: list[tuple[int, int]] = []
-    for p in (2, 3, 5):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    f = 7
-    i = 0
-    while f * f <= n:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            out.append((f, e))
-        f += _TRIAL_OFFSETS[i]
-        i = (i + 1) % 8
-    if n > 1:
-        out.append((n, 1))
-    return sign, out
-
-
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """``(g, x, y)`` with ``a*x + b*y == g == gcd(a, b)``."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
-def sum_two_squares(p: int) -> tuple[int, int] | None:
-    """``(a, b)`` with ``p = a² + b²`` for a prime p, or None (exactly when p ≡ 3 mod 4)."""
-    if not is_prime_int(p):
-        raise ValueError(f"{p} is not prime")
-    for a in range(isqrt(p), 0, -1):
-        rest = p - a * a
-        b = isqrt(rest)
-        if b * b == rest and b <= a:
-            return a, b
-    return None
-
-
-def two_adic_valuation(n: int) -> int:
-    """Exponent of 2 in n (n > 0)."""
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
-
-
-def diff_two_squares(n: int) -> tuple[int, int] | None:
-    """Minimal-r representation ``n = r² - s²`` for n >= 1, or None.
-
-    No representation exists exactly when the exponent of 2 in n is 1.
-    For representable n a witness exists with ``r <= n//2 + 1`` (odd n split
-    as consecutive squares, multiples of 4 as ``(n/4+1)² - (n/4-1)²``), so
-    the upward search from ``⌈√n⌉`` terminates.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if two_adic_valuation(n) == 1:
-        return None
-    r = isqrt(n - 1) + 1 if n > 1 else 1
-    bound = n // 2 + 1  # the odd / divisible-by-4 constructions stay below this
-    while r <= bound:
-        rest = r * r - n
-        s = isqrt(rest)
-        if s * s == rest:
-            return r, s
-        r += 1
-    raise AssertionError("representable n must have a witness within the bound")
 
 
 # -- splitting ---------------------------------------------------------------
@@ -136,34 +30,17 @@ def diff_two_squares(n: int) -> tuple[int, int] | None:
 
 def _check_splittable(a: Element) -> None:
     if not a:
-        raise ValueError("zero cannot be split")
+        raise ValueError("zero cannot be factored")
     if a.is_unit():
-        raise ValueError("units cannot be split")
+        raise ValueError("units cannot be factored")
     if a.kind is RingKind.HYPERBOLIC and a.eta == 0:
         raise ZeroDivisorFactorizationError(
             "hyperbolic zero divisors have no irreducible factorization"
         )
 
 
-def _two_power_form_gamma(ep: int) -> int | None:
-    """γ such that ep == 2^(γ+2), or None when ep is not such a power."""
-    if ep < 4 or ep & (ep - 1):
-        return None
-    return ep.bit_length() - 3
-
-
-def _is_two_power_irreducible_form(a: Element, gamma: int) -> bool:
-    c = a.canonical_associate()[0]
-    half = 1 << gamma
-    return c.x == half + 1 and abs(c.y) == half - 1
-
-
-def _split_hyperbolic(a: Element) -> tuple[Element, Element] | None:
-    ep = a.eta_plus
-    if is_prime_int(ep):
-        return None
-    _, primes = int_factor(ep)
-    odd = [p for p, _ in primes if p != 2]
+def _split_hyperbolic(a: Element) -> tuple[Element, Element]:
+    odd = [p for p, _ in int_factor(a.eta_plus)[1] if p != 2]
     if odd:
         # a prime of norm p divides a (or its conjugate does)
         n = (odd[0] - 1) // 2
@@ -174,51 +51,33 @@ def _split_hyperbolic(a: Element) -> tuple[Element, Element] | None:
             q = divides(cand, a)
         assert q is not None, "one of the conjugate norm-p primes must divide"
         return cand, q
-    gamma = _two_power_form_gamma(ep)
-    assert gamma is not None, "norm 2 has no element; norm 1 is a unit"
-    if _is_two_power_irreducible_form(a, gamma):
-        return None
     q = divides(Element(a.kind, 2, 0), a)
     assert q is not None, "off the irreducible form, the element is even"
     return Element(a.kind, 2, 0), q
 
 
-def _split_parabolic(a: Element) -> tuple[Element, Element] | None:
+def _split_parabolic(a: Element) -> tuple[Element, Element]:
     if a.x < 0:
-        inner = _split_parabolic(-a)
-        if inner is None:
-            return None
-        b, c = inner
+        b, c = _split_parabolic(-a)
         return -b, c
     if a.x == 0:
-        if abs(a.y) == 1:
-            return None
         return Element(a.kind, a.y, 0), Element(a.kind, 0, 1)
     x, y = a.x, a.y
-    if is_prime_int(x):
-        return None
     _, primes = int_factor(x)
-    if len(primes) == 1:
-        p, g = primes[0]  # prime power, g >= 2
-        if y % p:
-            return None
+    p, g = primes[0]
+    if len(primes) == 1:  # x = p^g with g >= 2 and p | y
         return Element(a.kind, p, 0), Element(a.kind, p ** (g - 1), y // p)
     # coprime split x = m*n; solve r*n + s*m = y
-    p, g = primes[0]
     m = p**g
     n = x // m
-    _, n_inv, _ = extended_gcd(n, m)
-    r = (y * n_inv) % m
+    r = y * pow(n, -1, m) % m
     s = (y - r * n) // m
     return Element(a.kind, m, r), Element(a.kind, n, s)
 
 
-def _split_elliptic(a: Element) -> tuple[Element, Element] | None:
-    ep = a.eta_plus
-    if is_prime_int(ep):
-        return None
+def _split_elliptic(a: Element) -> tuple[Element, Element]:
     candidates: list[Element] = []
-    for p, _ in int_factor(ep)[1]:
+    for p, _ in int_factor(a.eta_plus)[1]:
         if p == 2:
             candidates.append(Element(a.kind, 1, 1))
         elif p % 4 == 1:
@@ -229,12 +88,10 @@ def _split_elliptic(a: Element) -> tuple[Element, Element] | None:
         else:
             candidates.append(Element(a.kind, p, 0))
     for c in candidates:
-        if c.eta_plus >= ep:
-            continue  # cofactor would be a unit
         q = divides(c, a)
         if q is not None:
             return c, q
-    return None
+    raise AssertionError("a reducible element has a Gaussian prime divisor")
 
 
 def split(a: Element) -> tuple[Element, Element] | None:
@@ -244,6 +101,8 @@ def split(a: Element) -> tuple[Element, Element] | None:
     ``ky = y * k`` when ``|y| > 1``.
     """
     _check_splittable(a)
+    if is_irreducible(a):
+        return None
     if a.kind is RingKind.HYPERBOLIC:
         return _split_hyperbolic(a)
     if a.kind is RingKind.PARABOLIC:
@@ -286,14 +145,7 @@ def _factor_rec(a: Element) -> tuple[Element, list[Element]]:
 
 def factor(a: Element) -> Factorization:
     """Factorization into irreducibles, deterministic up to the stated ordering."""
-    if not a:
-        raise ValueError("zero cannot be factored")
-    if a.is_unit():
-        raise ValueError("units cannot be factored")
-    if a.kind is RingKind.HYPERBOLIC and a.eta == 0:
-        raise ZeroDivisorFactorizationError(
-            "hyperbolic zero divisors have no irreducible factorization"
-        )
+    _check_splittable(a)
     extension = a.kind is RingKind.PARABOLIC and a.eta == 0
     unit, factors = _factor_rec(a)
     factors.sort(key=lambda f: (f.eta_plus, f.x, f.y))
@@ -303,12 +155,6 @@ def factor(a: Element) -> Factorization:
 __all__ = [
     "Factorization",
     "ZeroDivisorFactorizationError",
-    "diff_two_squares",
-    "extended_gcd",
     "factor",
-    "int_factor",
-    "is_prime_int",
     "split",
-    "sum_two_squares",
-    "two_adic_valuation",
 ]

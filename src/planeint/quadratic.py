@@ -96,9 +96,6 @@ def general_norm_trace(params: GeneralParams, z: Pair) -> tuple[Fraction, Fracti
     """Exact ``(η, τ)`` with ``η = x² + βxy - αy²`` and ``τ = 2x + βy``."""
     x, y = z
     eta = x * x + params.beta * x * y - params.alpha * y * y
-    half_beta_y = params.beta * y / 2
-    completed = (x + half_beta_y) ** 2 - params.disc * y * y / 4
-    assert eta == completed  # the two closed forms are identities of each other
     return eta, 2 * x + params.beta * y
 
 

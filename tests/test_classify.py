@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from planeint import (
@@ -111,6 +113,21 @@ class TestClassify:
                     assert c.is_reducible == (not c.is_irreducible)
                 if c.is_unit:
                     assert not c.is_zero_divisor
+
+    def test_one_primality_test_per_classify(self, monkeypatch):
+        # the package attribute ``classify`` is the function, not the module
+        rules = importlib.import_module("planeint.classify")
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return is_prime_int(n)
+
+        monkeypatch.setattr(rules, "is_prime_int", counting)
+        for z in (C(5, 2), H(4, 3)):  # prime norms 29 and 7
+            calls.clear()
+            classify(z)
+            assert len(calls) == 1, (z, calls)
 
 
 class TestStructuralInvariants:

@@ -50,6 +50,12 @@ class TestIntegerHelpers:
                 prod *= p**e
             assert prod == n
 
+    def test_two_adic_valuation(self):
+        for n, v in [(1, 0), (12, 2), (-12, 2), (-7, 0), (2**40 * 3, 40)]:
+            assert two_adic_valuation(n) == v
+        with pytest.raises(ValueError):
+            two_adic_valuation(0)
+
     def test_extended_gcd(self):
         for a, b in [(240, 46), (-240, 46), (0, 5), (5, 0), (-7, -3), (12, 18)]:
             g, x, y = extended_gcd(a, b)

@@ -64,6 +64,13 @@ class TestGeneralArithmetic:
         ezw, _ = general_norm_trace(g, general_mul(g, z, w))
         assert ezw == ez * ew
 
+    @given(RATIONALS, RATIONALS, RATIONALS, RATIONALS)
+    def test_norm_matches_completed_square(self, alpha, beta, x, y):
+        # η = x² + βxy - αy² equals (x + βy/2)² - D·y²/4 with D = β² + 4α
+        g = GeneralParams(alpha, beta)
+        eta, _ = general_norm_trace(g, (x, y))
+        assert eta == (x + beta * y / 2) ** 2 - g.disc * y * y / 4
+
     def test_disc_recomputed(self):
         g = GeneralParams(Fr(3, 4), Fr(1, 2))
         assert g.disc == Fr(1, 4) + 3
