@@ -18,8 +18,10 @@ Highlights of the landscape these rules encode:
   prime power ``p^γ`` (γ >= 2) with ``p ∤ y``.
 
 Each ring's rule is stated once, in ``_verdict``; :func:`is_prime`,
-:func:`is_irreducible`, :func:`classify` and :func:`planeint.factor.split`
-all read their answer from it.
+:func:`is_irreducible`, :func:`classify`, :func:`prime_integer_behavior` and
+:func:`planeint.factor.split` all read their answer from it.  The parabolic
+rule off the axis is ``_parabolic_irreducible``, which ``split`` also calls
+with the factorization of x that its witness needs anyway.
 """
 
 from __future__ import annotations
@@ -48,16 +50,20 @@ class IrreducibleForm:
         return Element(RingKind.HYPERBOLIC, half + 1, self.sign_y * (half - 1))
 
 
+def _parabolic_irreducible(x_primes: list[tuple[int, int]], y: int) -> bool:
+    """Irreducibility of ``x + ky`` (x != 0) from the prime factorization of x."""
+    if len(x_primes) != 1:
+        return False
+    p, g = x_primes[0]
+    return g == 1 or y % p != 0
+
+
 def _verdict(z: Element) -> tuple[bool, bool]:
     """``(prime, irreducible)`` for a nonzero non-unit z."""
     if z.kind is RingKind.PARABOLIC:
         if z.x == 0:
             return abs(z.y) == 1, abs(z.y) == 1
-        _, primes = int_factor(z.x)
-        if len(primes) != 1:
-            return False, False
-        p, g = primes[0]
-        return False, g == 1 or z.y % p != 0
+        return False, _parabolic_irreducible(int_factor(z.x)[1], z.y)
     ep = z.eta_plus
     if z.kind is RingKind.HYPERBOLIC:
         if ep == 0:
@@ -117,20 +123,15 @@ def prime_integer_behavior(p: int, kind: RingKind) -> PrimeIntegerReport:
     """
     if not is_prime_int(p):
         raise ValueError(f"{p} is not prime")
-    if kind is RingKind.PARABOLIC:
-        return PrimeIntegerReport(False, True, None)
-    if kind is RingKind.HYPERBOLIC:
-        if p == 2:
-            return PrimeIntegerReport(False, True, None)
+    prime, irreducible = _verdict(Element(kind, p, 0))
+    witness = None
+    if not irreducible and kind is RingKind.HYPERBOLIC:
         n = (p - 1) // 2
         witness = (Element(kind, n + 1, n), Element(kind, n + 1, -n))
-        return PrimeIntegerReport(False, False, witness)
-    if p % 4 == 3:
-        return PrimeIntegerReport(True, True, None)
-    rs = sum_two_squares(p)
-    assert rs is not None
-    witness = (Element(kind, rs[0], rs[1]), Element(kind, rs[0], -rs[1]))
-    return PrimeIntegerReport(False, False, witness)
+    elif not irreducible:  # elliptic: p = (a + ib)(a - ib)
+        a, b = sum_two_squares(p)
+        witness = (Element(kind, a, b), Element(kind, a, -b))
+    return PrimeIntegerReport(prime, irreducible, witness)
 
 
 __all__ = [

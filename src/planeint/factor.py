@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classify import is_irreducible
+from .classify import _parabolic_irreducible, is_irreducible
 from .core import Element, RingError, RingKind
 from .euclid import divides
 from .integers import int_factor, sum_two_squares
@@ -56,16 +56,14 @@ def _split_hyperbolic(a: Element) -> tuple[Element, Element]:
     return Element(a.kind, 2, 0), q
 
 
-def _split_parabolic(a: Element) -> tuple[Element, Element]:
+def _split_parabolic(a: Element, x_primes: list[tuple[int, int]]) -> tuple[Element, Element]:
+    """Witness for a reducible ``x + ky`` with x != 0, given the prime factorization of |x|."""
     if a.x < 0:
-        b, c = _split_parabolic(-a)
+        b, c = _split_parabolic(-a, x_primes)
         return -b, c
-    if a.x == 0:
-        return Element(a.kind, a.y, 0), Element(a.kind, 0, 1)
     x, y = a.x, a.y
-    _, primes = int_factor(x)
-    p, g = primes[0]
-    if len(primes) == 1:  # x = p^g with g >= 2 and p | y
+    p, g = x_primes[0]
+    if len(x_primes) == 1:  # x = p^g with g >= 2 and p | y
         return Element(a.kind, p, 0), Element(a.kind, p ** (g - 1), y // p)
     # coprime split x = m*n; solve r*n + s*m = y
     m = p**g
@@ -101,12 +99,16 @@ def split(a: Element) -> tuple[Element, Element] | None:
     ``ky = y * k`` when ``|y| > 1``.
     """
     _check_splittable(a)
+    if a.kind is RingKind.PARABOLIC and a.x:
+        # the verdict and the witness read the same factorization of x
+        x_primes = int_factor(a.x)[1]
+        return None if _parabolic_irreducible(x_primes, a.y) else _split_parabolic(a, x_primes)
     if is_irreducible(a):
         return None
     if a.kind is RingKind.HYPERBOLIC:
         return _split_hyperbolic(a)
-    if a.kind is RingKind.PARABOLIC:
-        return _split_parabolic(a)
+    if a.kind is RingKind.PARABOLIC:  # on the axis: ky = y * k
+        return Element(a.kind, a.y, 0), Element(a.kind, 0, 1)
     return _split_elliptic(a)
 
 

@@ -7,13 +7,71 @@ representations of ordinary integers.  Nothing here knows about the rings;
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
 _TRIAL_OFFSETS = (4, 2, 4, 2, 4, 6, 2, 6)  # wheel mod 30 after 2, 3, 5
 
+# Below this, primality and factoring are plain trial division, whose divisors
+# stay below 2⁸; above it, Miller–Rabin and Pollard–Brent rho take over.
+_CROSSOVER = 1 << 16
+_WHEEL_END = 1 << 8  # √_CROSSOVER
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+             43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)  # the primes below 100
+
+# (psi_k, k): every odd composite n < psi_k fails the strong test to one of the
+# first k prime bases (Jaeschke 1993; Sorenson & Webster 2015).  psi_1 = 2047
+# lies below the crossover, psi_8 == psi_7 and psi_10 == psi_11 == psi_9, so
+# those rows are left out.
+_MR_PROVEN = (
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+
+_RHO_BATCH = 128  # rho steps whose differences share one gcd
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller–Rabin round: False proves the odd n > a composite."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    x = pow(a, d >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
 
 def is_prime_int(n: int) -> bool:
-    """Deterministic trial division; adequate at desk scale."""
+    """Exact primality of an integer.
+
+    Below 2¹⁶ this is trial division.  Above it, deterministic Miller–Rabin
+    on the first k prime bases, with k the smallest count proven for n's
+    size; the first 13 primes cover every n < 3,317,044,064,679,887,385,961,981
+    (≈ 3.3·10²⁴).  Beyond that bound no finite base set is proven: a failed
+    round on any prime base below 100 still proves n composite, and an n that
+    passes them all is settled by trial division, which is exact but takes
+    O(√n) steps, so primes above 3.3·10²⁴ are slow.
+    """
+    if n >= _CROSSOVER:
+        if n % 2 == 0:
+            return False
+        for bound, k in _MR_PROVEN:
+            if n < bound:
+                return all(_strong_probable_prime(n, a) for a in _MR_BASES[:k])
+        if not all(_strong_probable_prime(n, a) for a in _MR_BASES):
+            return False
+    # trial division: the whole test below the crossover, the exact fallback above the table
     if n < 2:
         return False
     for p in (2, 3, 5):
@@ -29,8 +87,48 @@ def is_prime_int(n: int) -> bool:
     return True
 
 
+def _brent_rho(n: int) -> int:
+    """A proper divisor of an odd composite n with no prime factor below 2⁸.
+
+    Pollard's rho with Brent's cycle detection (Brent 1980): the walk
+    y -> y² + c starts at 2 with c = 1, and c moves on to 2, 3, ... only when a
+    walk closes its cycle modulo n itself.  No randomness, so results repeat.
+    """
+    c = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch went past the first collision: retrace it step by step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+        c += 1
+
+
 def int_factor(n: int) -> tuple[int, list[tuple[int, int]]]:
-    """Sign and prime factorization of a nonzero integer, exponents collected."""
+    """Sign and prime factorization of a nonzero integer, primes ascending, exponents collected.
+
+    Trial division strips the primes below 2⁸, which factors every n < 2¹⁶
+    completely; a cofactor left over is split by Pollard–Brent rho until each
+    piece passes :func:`is_prime_int`.  The cost grows with the square root
+    of the second-largest prime factor, so balanced semiprimes far above 64
+    bits stay slow.
+    """
     if n == 0:
         raise ValueError("0 has no factorization")
     sign = -1 if n < 0 else 1
@@ -45,7 +143,7 @@ def int_factor(n: int) -> tuple[int, list[tuple[int, int]]]:
             out.append((p, e))
     f = 7
     i = 0
-    while f * f <= n:
+    while f * f <= n and f < _WHEEL_END:
         if n % f == 0:
             e = 0
             while n % f == 0:
@@ -54,9 +152,20 @@ def int_factor(n: int) -> tuple[int, list[tuple[int, int]]]:
             out.append((f, e))
         f += _TRIAL_OFFSETS[i]
         i = (i + 1) % 8
-    if n > 1:
-        out.append((n, 1))
-    return sign, out
+    if n < f * f:  # n has no prime factor below f, so it is 1 or a prime
+        if n > 1:
+            out.append((n, 1))
+        return sign, out
+    counts: dict[int, int] = {}
+    pending = [n]
+    while pending:
+        m = pending.pop()
+        if m < f * f or is_prime_int(m):  # the pieces keep n's lack of factors below f
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _brent_rho(m)
+            pending += (d, m // d)
+    return sign, out + sorted(counts.items())
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -75,15 +184,25 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def sum_two_squares(p: int) -> tuple[int, int] | None:
-    """``(a, b)`` with ``p = a² + b²`` for a prime p, or None (exactly when p ≡ 3 mod 4)."""
+    """``(a, b)`` with ``p = a² + b²`` and ``a >= b > 0`` for a prime p, or None (exactly when p ≡ 3 mod 4).
+
+    Hermite–Serret/Cornacchia: x = t^((p-1)/4) for the least quadratic
+    non-residue t is a square root of -1 mod p, and the Euclidean algorithm on
+    (p, x) reaches b² + c² = p at its first remainder b below √p.
+    """
     if not is_prime_int(p):
         raise ValueError(f"{p} is not prime")
-    for a in range(isqrt(p), 0, -1):
-        rest = p - a * a
-        b = isqrt(rest)
-        if b * b == rest and b <= a:
-            return a, b
-    return None
+    if p == 2:
+        return 1, 1
+    if p % 4 == 3:
+        return None
+    t = 2
+    while pow(t, (p - 1) // 2, p) != p - 1:
+        t += 1
+    a, b = p, pow(t, (p - 1) // 4, p)
+    while b * b > p:
+        a, b = b, a % b
+    return b, a % b
 
 
 def two_adic_valuation(n: int) -> int:

@@ -1,8 +1,11 @@
+import importlib
 import random
 from math import isqrt
 
 import pytest
+import sympy
 
+import planeint.integers as kernel
 from planeint import (
     Element,
     RingKind,
@@ -62,6 +65,94 @@ class TestIntegerHelpers:
             assert g >= 0 and a * x + b * y == g
 
 
+def _trial_division_is_prime(n):
+    """Reference primality: divide by every integer up to √n."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+class TestIntegerKernel:
+    # ψ_9, ψ_12 and ψ_13: the least strong pseudoprimes to the first 9, 12 and 13 prime bases
+    STRONG_PSEUDOPRIMES = (3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+    PROVEN_BOUND = 3317044064679887385961981
+
+    def test_is_prime_int_matches_trial_division(self):
+        for n in range(-3, 2 * 10**5):
+            assert is_prime_int(n) == _trial_division_is_prime(n), n
+
+    def test_is_prime_int_matches_sympy(self):
+        rng = random.Random(20)
+        for _ in range(2000):
+            n = rng.getrandbits(rng.randint(20, 81))  # every n below the proven bound
+            assert n < self.PROVEN_BOUND
+            assert is_prime_int(n) == sympy.isprime(n), n
+        for _ in range(300):  # composites between the bound and 96 bits
+            n = rng.getrandbits(48) * rng.getrandbits(48)
+            if n > self.PROVEN_BOUND:
+                assert not is_prime_int(n), n
+
+    def test_int_factor_matches_sympy(self):
+        rng = random.Random(21)
+        inputs = [rng.getrandbits(rng.randint(20, 64)) for _ in range(100)]
+        for _ in range(60):  # up to 96 bits, built from primes of at most 32 bits
+            n, bits = 1, rng.randint(20, 96)
+            while n.bit_length() < bits:
+                n *= sympy.randprime(2, 2 ** rng.randint(2, 32))
+            inputs.append(n)
+        for n in inputs:
+            sign, primes = int_factor(-n)
+            assert sign == -1
+            assert primes == sorted(sympy.factorint(n).items()), n
+            assert [p for p, _ in primes] == sorted(p for p, _ in primes)
+
+    def test_strong_pseudoprimes_are_composite(self):
+        for n in self.STRONG_PSEUDOPRIMES:
+            assert not is_prime_int(n), n
+        assert int_factor(3825123056546413051) == (1, [(149491, 1), (747451, 1), (34233211, 1)])
+
+    def test_carmichael_numbers(self):
+        small = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 63973)
+        large = [75361, 101101, 115921, 126217, 162401, 172081, 188461, 252601]
+        # Chernick's (6k+1)(12k+1)(18k+1) is a Carmichael number when all three factors are prime
+        for k in [*range(1, 200), *range(10**6, 10**6 + 3000)]:
+            fs = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+            if all(sympy.isprime(f) for f in fs):
+                large.append(fs[0] * fs[1] * fs[2])
+        assert large[-1] > 2**60
+        for n in small + tuple(large):
+            assert not is_prime_int(n), n
+            assert int_factor(n) == (1, sorted(sympy.factorint(n).items())), n
+
+    def test_prime_squares_and_powers(self):
+        crossover = 1 << 16
+        cases = [(251, 2), (257, 2), (65521, 2), (3, 10), (3, 11), (2, 16), (2, 17),
+                 (241, 2), (65537, 2), (10**9 + 7, 2), (1000003, 3), (998244353, 2), (7, 30)]
+        assert any(p**e < crossover for p, e in cases) and any(p**e > crossover for p, e in cases)
+        for p, e in cases:
+            assert not is_prime_int(p**e), (p, e)
+            assert int_factor(p**e) == (1, [(p, e)])
+            assert int_factor(p**e * 11) == (1, sorted([(p, e), (11, 1)])), (p, e)
+
+    def test_trial_division_decides_beyond_the_proven_table(self, monkeypatch):
+        # with no proven row, every n >= 2**16 takes the path of an n above 3.3·10²⁴:
+        # all 25 bases, then trial division for the n that pass them
+        monkeypatch.setattr(kernel, "_MR_PROVEN", ())
+        rng = random.Random(23)
+        inputs = [rng.getrandbits(rng.randint(17, 36)) for _ in range(300)]
+        inputs += [3215031751, 2152302898747, 1000003, 65537, 65539]  # ψ_4, ψ_5 and primes
+        for n in inputs:
+            assert is_prime_int(n) == sympy.isprime(n), n
+
+    def test_sum_two_squares_random_primes(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            p = sympy.randprime(2, 2 ** rng.randint(3, 64))
+            rs = sum_two_squares(p)
+            assert (rs is None) == (p % 4 == 3), p
+            if rs:
+                a, b = rs
+                assert a * a + b * b == p and a >= b > 0, p
+
+
 class TestSplit:
     def test_examples(self):
         assert split(H(8, 0)) == (H(2, 0), H(4, 0))
@@ -78,6 +169,20 @@ class TestSplit:
     def test_axis_extension(self):
         assert split(K(0, 6)) == (K(6, 0), K(0, 1))
         assert split(K(0, 1)) is None and split(K(0, -1)) is None
+
+    def test_parabolic_split_factors_x_once(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return int_factor(n)
+
+        for module in ("planeint.classify", "planeint.factor"):
+            monkeypatch.setattr(importlib.import_module(module), "int_factor", counting)
+        for z in (K(6, 5), K(-6, 5), K(9, 3), K(9, 1)):
+            calls.clear()
+            split(z)
+            assert calls == [z.x], (z, calls)
 
     def test_negative_real_part(self):
         pair = split(K(-6, 5))

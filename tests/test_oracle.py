@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import planeint
 from planeint import (
     Element,
     InfiniteDivisorSetError,
@@ -153,3 +157,30 @@ class TestCompletenessAndCrossChecks:
             a, b = res.witness
             assert divides(z, a * b) is not None
             assert divides(z, a) is None and divides(z, b) is None
+
+
+def _package_imports(module):
+    """The planeint modules that ``planeint.<module>`` imports, directly or through each other."""
+    pkg = Path(planeint.__file__).parent
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(ast.parse((pkg / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+                todo += [a.name for a in node.names]  # from . import a, b
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                todo.append(node.module)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("planeint."):
+                todo.append(node.module.removeprefix("planeint."))
+            elif isinstance(node, ast.Import):
+                todo += [a.name.removeprefix("planeint.") for a in node.names if a.name.startswith("planeint.")]
+    return seen - {module}
+
+
+def test_oracle_is_independent_of_the_integer_kernel():
+    # the oracle referees the closed-form rules, which rest on planeint.integers
+    assert _package_imports("cli") >= {"integers", "oracle"}  # the scan sees the kernel where it is used
+    assert "integers" not in _package_imports("oracle")
