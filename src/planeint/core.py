@@ -50,10 +50,10 @@ class RingKind(Enum):
     HYPERBOLIC = "j"
     PARABOLIC = "k"
 
-    @property
-    def mu(self) -> int:
-        """The integer value of θ² in this ring."""
-        return _MU[self]
+    def __init__(self, symbol: str) -> None:
+        #: The integer value of θ² in this ring (a plain attribute: it is read
+        #: by every product and norm).
+        self.mu = {"i": -1, "j": 1, "k": 0}[symbol]
 
     @property
     def symbol(self) -> str:
@@ -66,9 +66,6 @@ class RingKind(Enum):
             return cls(symbol)
         except ValueError:
             raise WrongRingError(f"unknown ring symbol {symbol!r}") from None
-
-
-_MU = {RingKind.ELLIPTIC: -1, RingKind.HYPERBOLIC: 1, RingKind.PARABOLIC: 0}
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,14 +92,14 @@ class Element:
                 )
             return other
         if isinstance(other, int):
-            return Element(self.kind, other, 0)
+            return _mk(self.kind, other, 0)
         return None
 
     def __add__(self, other: Element | int) -> Element:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return Element(self.kind, self.x + w.x, self.y + w.y)
+        return _mk(self.kind, self.x + w.x, self.y + w.y)
 
     __radd__ = __add__
 
@@ -110,31 +107,27 @@ class Element:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return Element(self.kind, self.x - w.x, self.y - w.y)
+        return _mk(self.kind, self.x - w.x, self.y - w.y)
 
     def __rsub__(self, other: Element | int) -> Element:
         return (-self).__add__(other)
 
     def __neg__(self) -> Element:
-        return Element(self.kind, -self.x, -self.y)
+        return _mk(self.kind, -self.x, -self.y)
 
     def __mul__(self, other: Element | int) -> Element:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        mu = self.kind.mu
-        return Element(
-            self.kind,
-            self.x * w.x + mu * self.y * w.y,
-            self.x * w.y + w.x * self.y,
-        )
+        kind = self.kind
+        return _mk(kind, self.x * w.x + kind.mu * self.y * w.y, self.x * w.y + w.x * self.y)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Element:
         if n < 0:
             raise ValueError("negative powers require a unit; use inverse()")
-        result = Element(self.kind, 1, 0)
+        result = _mk(self.kind, 1, 0)
         base = self
         while n:
             if n & 1:
@@ -151,7 +144,7 @@ class Element:
 
     def conj(self) -> Element:
         """The conjugate ``x - θy``."""
-        return Element(self.kind, self.x, -self.y)
+        return _mk(self.kind, self.x, -self.y)
 
     @property
     def eta(self) -> int:
@@ -195,7 +188,7 @@ class Element:
         e = self.eta
         if abs(e) != 1:
             raise NotInvertibleError(f"{self} has norm {e}, not ±1")
-        return Element(self.kind, self.x * e, -self.y * e)
+        return _mk(self.kind, self.x * e, -self.y * e)
 
     def lex_less(self, other: Element) -> bool:
         """Strict lexicographic order on the parabolic ring (x first, then y).
@@ -224,43 +217,61 @@ class Element:
           ``±1 + kt`` shift y by multiples of x),
         * parabolic, ``x == 0``: ``y >= 0``.
         """
-        kind = self.kind
-        one_ = Element(kind, 1, 0)
-        if not self:
-            return self, one_
+        kind, x, y = self.kind, self.x, self.y
         if kind is RingKind.ELLIPTIC:
-            for u in (one_, Element(kind, 0, 1), -one_, Element(kind, 0, -1)):
-                cand = u * self
-                if cand.x > 0 and cand.y >= 0:
-                    return cand, u
-            raise AssertionError("unreachable: every nonzero orbit meets the quadrant")
+            # one rotation by a power of i lands in the quadrant
+            if x > 0 and y >= 0:
+                return self, _mk(kind, 1, 0)
+            if x <= 0 and y > 0:
+                return _mk(kind, y, -x), _mk(kind, 0, -1)
+            if x < 0 and y <= 0:
+                return _mk(kind, -x, -y), _mk(kind, -1, 0)
+            if y < 0:
+                return _mk(kind, -y, x), _mk(kind, 0, 1)
+            return self, _mk(kind, 1, 0)  # zero
         if kind is RingKind.HYPERBOLIC:
-            if self.eta == 0:
-                if self.x > 0:
-                    return self, one_
-                return -self, -one_
-            for u in (one_, Element(kind, 0, 1), -one_, Element(kind, 0, -1)):
-                cand = u * self
-                if cand.x > abs(cand.y):
-                    return cand, u
-            raise AssertionError("unreachable: |x| == |y| would be a zero divisor")
+            # ±1 keep |x| >= |y| (the diagonals |x| == |y| take the sign of
+            # x), ±j swap the coordinates where |x| < |y|
+            ay = abs(y)
+            if x >= ay:
+                return self, _mk(kind, 1, 0)
+            if -x >= ay:
+                return _mk(kind, -x, -y), _mk(kind, -1, 0)
+            if y > 0:
+                return _mk(kind, y, x), _mk(kind, 0, 1)
+            return _mk(kind, -y, -x), _mk(kind, 0, -1)
         # parabolic
-        if self.x == 0:
-            if self.y >= 0:
-                return self, one_
-            return -self, -one_
-        s = 1 if self.x > 0 else -1
-        xc = s * self.x
-        yc = (s * self.y) % xc
-        t = (yc - s * self.y) // self.x
-        u = Element(kind, s, t)
-        return Element(kind, xc, yc), u
+        if x == 0:
+            if y >= 0:
+                return self, _mk(kind, 1, 0)
+            return _mk(kind, 0, -y), _mk(kind, -1, 0)
+        s = 1 if x > 0 else -1
+        xc = s * x
+        yc = (s * y) % xc
+        t = (yc - s * y) // x
+        return _mk(kind, xc, yc), _mk(kind, s, t)
 
     def __str__(self) -> str:
         return format_element(self)
 
     def __repr__(self) -> str:
         return f"Element({self.kind.name}, {self.x}, {self.y})"
+
+
+# Ring operations build their results through _mk: their coordinates are ints
+# by construction, so the validation in Element.__post_init__ is skipped.  The
+# slots' own setters get past the frozen dataclass's __setattr__.
+_new = object.__new__
+_set_kind, _set_x, _set_y = (Element.__dict__[f].__set__ for f in ("kind", "x", "y"))
+
+
+def _mk(kind: RingKind, x: int, y: int) -> Element:
+    """``Element(kind, x, y)`` for ``kind`` a RingKind and ints x, y, unchecked."""
+    z = _new(Element)
+    _set_kind(z, kind)
+    _set_x(z, x)
+    _set_y(z, y)
+    return z
 
 
 @dataclass(frozen=True, slots=True)

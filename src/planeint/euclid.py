@@ -10,7 +10,6 @@ machinery below splits any finitely generated ideal into a principal part
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import gcd
 
@@ -19,6 +18,7 @@ from .core import (
     KindMismatchError,
     RingError,
     RingKind,
+    _mk,
     diagonal_coords,
     from_diagonal_coords,
 )
@@ -63,7 +63,7 @@ def div_rem(a: Element, b: Element) -> DivResult:
     nx, ny = num.x, num.y
     if e < 0:
         nx, ny, e = -nx, -ny, -e
-    q = Element(a.kind, _round_half_away(nx, e), _round_half_away(ny, e))
+    q = _mk(a.kind, _round_half_away(nx, e), _round_half_away(ny, e))
     r = a - q * b
     assert 2 * r.eta_plus <= b.eta_plus
     return DivResult(q, r)
@@ -84,13 +84,13 @@ def divides(b: Element, a: Element) -> Element | None:
         num = a * b.conj()
         if num.x % e or num.y % e:
             return None
-        return Element(a.kind, num.x // e, num.y // e)
+        return _mk(a.kind, num.x // e, num.y // e)
     if b.kind is RingKind.PARABOLIC:
         # b = kt: its multiples are exactly k·(tm)
         t = b.y
         if a.x != 0 or a.y % t:
             return None
-        return Element(a.kind, a.y // t, 0)
+        return _mk(a.kind, a.y // t, 0)
     # hyperbolic diagonals: multiples of t(1±j) are the m·t(1±j)
     t = b.x
     if b.x == b.y:
@@ -99,7 +99,7 @@ def divides(b: Element, a: Element) -> Element | None:
         on_diag = a.x == -a.y
     if not on_diag or a.x % t:
         return None
-    return Element(a.kind, a.x // t, 0)
+    return _mk(a.kind, a.x // t, 0)
 
 
 # -- finitely generated ideals ----------------------------------------------
@@ -314,36 +314,11 @@ def ideal_contains(dec: IdealDecomposition, z: Element) -> bool:
     return False  # elliptic: the only zero divisor is 0
 
 
-def d_ideal_is_prime_witness(kind: RingKind, trials: int = 1000, seed: int = 0) -> bool:
-    """Randomized check that each zero-divisor line is a prime ideal.
-
-    Draws ``trials`` random pairs and verifies that a product landing on a
-    line has a factor on that line.  Vacuous for the elliptic ring, where the
-    line is {0} and the check is the integral-domain property.
-    """
-    if kind is RingKind.HYPERBOLIC:
-        lines = [lambda e: e.x == e.y, lambda e: e.x == -e.y]
-    elif kind is RingKind.PARABOLIC:
-        lines = [lambda e: e.x == 0]
-    else:
-        lines = [lambda e: not e]
-    rng = random.Random(seed)
-    for _ in range(trials):
-        z = Element(kind, rng.randint(-50, 50), rng.randint(-50, 50))
-        w = Element(kind, rng.randint(-50, 50), rng.randint(-50, 50))
-        p = z * w
-        for on_line in lines:
-            if on_line(p) and not (on_line(z) or on_line(w)):
-                return False
-    return True
-
-
 __all__ = [
     "DivResult",
     "DivisorIsZeroDivisorError",
     "FGIdeal",
     "IdealDecomposition",
-    "d_ideal_is_prime_witness",
     "decompose",
     "div_rem",
     "divides",

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,8 @@ from planeint import (
     RingKind,
     WrongRingError,
     diagonal_coords,
+    div_rem,
+    divides,
     elliptic,
     from_diagonal_coords,
     hyperbolic,
@@ -267,6 +271,114 @@ class TestCanonicalAssociates:
                     continue
                 c, _ = z.canonical_associate()
                 assert c.eta > 0 and c.x > 0
+
+
+def reference_canonical_associate(z):
+    """The first unit multiple of z in the canonical region, by trial products."""
+    kind = z.kind
+    one_ = Element(kind, 1, 0)
+    if not z:
+        return z, one_
+    if kind is RingKind.ELLIPTIC:
+        for u in (one_, Element(kind, 0, 1), -one_, Element(kind, 0, -1)):
+            cand = u * z
+            if cand.x > 0 and cand.y >= 0:
+                return cand, u
+        raise AssertionError("unreachable: every nonzero orbit meets the quadrant")
+    if kind is RingKind.HYPERBOLIC:
+        if z.eta == 0:
+            if z.x > 0:
+                return z, one_
+            return -z, -one_
+        for u in (one_, Element(kind, 0, 1), -one_, Element(kind, 0, -1)):
+            cand = u * z
+            if cand.x > abs(cand.y):
+                return cand, u
+        raise AssertionError("unreachable: |x| == |y| would be a zero divisor")
+    if z.x == 0:
+        if z.y >= 0:
+            return z, one_
+        return -z, -one_
+    s = 1 if z.x > 0 else -1
+    xc = s * z.x
+    yc = (s * z.y) % xc
+    t = (yc - s * z.y) // z.x
+    return Element(kind, xc, yc), Element(kind, s, t)
+
+
+class TestCanonicalAssociateReference:
+    """The closed form agrees with the trial-product reference."""
+
+    @staticmethod
+    def check(z):
+        got = z.canonical_associate()
+        assert got == reference_canonical_associate(z), z
+        assert all(type(e) is Element for e in got)
+
+    def test_box(self):
+        for kind in RingKind:
+            for x in range(-60, 61):
+                for y in range(-60, 61):
+                    self.check(Element(kind, x, y))
+
+    def test_random_large(self):
+        rng = random.Random(4)
+        for kind in RingKind:
+            for _ in range(3000):
+                bits = rng.randint(1, 200)
+                x = rng.randint(-(2**bits), 2**bits)
+                # a quarter of the points on a diagonal or an axis
+                y = rng.choice((x, -x, 0, rng.randint(-(2**bits), 2**bits)))
+                if rng.random() < 0.5:
+                    x, y = y, x
+                self.check(Element(kind, x, y))
+
+    @given(KINDS, st.integers(-(2**200), 2**200), st.integers(-(2**200), 2**200))
+    def test_property(self, kind, x, y):
+        self.check(Element(kind, x, y))
+
+    @given(KINDS, st.integers(-(2**200), 2**200))
+    def test_property_diagonals_and_axes(self, kind, t):
+        for x, y in ((t, t), (t, -t), (t, 0), (0, t)):
+            self.check(Element(kind, x, y))
+
+
+class TestResultsAreValidElements:
+    """Ring operations skip validation; their results must not show it."""
+
+    def test_constructor_still_validates(self):
+        with pytest.raises(TypeError):
+            Element(RingKind.ELLIPTIC, 1.5, 0)
+        with pytest.raises(TypeError):
+            Element(RingKind.HYPERBOLIC, 1, 2.0)
+        with pytest.raises(TypeError):
+            Element("i", 1, 0)
+
+    def test_mu(self):
+        assert RingKind.ELLIPTIC.mu == -1
+        assert RingKind.HYPERBOLIC.mu == 1
+        assert RingKind.PARABOLIC.mu == 0
+        assert RingKind("j").mu == 1
+
+    @given(same_kind_pair(), st.integers(-(10**6), 10**6), st.integers(0, 5))
+    def test_operation_results(self, pair, n, e):
+        z, w = pair
+        kind = z.kind
+        results = [z + w, z - w, z * w, -z, z.conj(), z ** e, z + n, n - z, n * z]
+        # the divisors include a diagonal (hyperbolic) and an axis (parabolic) zero divisor
+        for b in (w, Element(kind, w.x, w.x), Element(kind, 0, w.y)):
+            if b:
+                results += [q for q in (divides(b, z), divides(b, z * b)) if q is not None]
+        if w.eta:
+            results += [div_rem(z, w).quotient, div_rem(z, w).remainder]
+        for u in (Element(kind, 0, 1), Element(kind, -1, n)):
+            if u.is_unit():
+                results.append(u.inverse())
+        for r in results:
+            assert type(r) is Element
+            assert type(r.x) is int and type(r.y) is int
+            built = Element(kind, r.x, r.y)
+            assert r == built and hash(r) == hash(built)
 
 
 class TestDiagonalCoords:

@@ -11,7 +11,6 @@ from planeint import (
     FGIdeal,
     KindMismatchError,
     RingKind,
-    d_ideal_is_prime_witness,
     decompose,
     div_rem,
     divides,
@@ -205,6 +204,30 @@ class TestDecompose:
             FGIdeal(RingKind.HYPERBOLIC, (K(1, 0),))
         with pytest.raises(KindMismatchError):
             ideal_contains(decompose(FGIdeal.of(H(2, 0))), K(2, 0))
+
+
+def d_ideal_is_prime_witness(kind: RingKind, trials: int = 1000, seed: int = 0) -> bool:
+    """Randomized check that each zero-divisor line is a prime ideal.
+
+    Draws ``trials`` random pairs and verifies that a product landing on a
+    line has a factor on that line.  Vacuous for the elliptic ring, where the
+    line is {0} and the check is the integral-domain property.
+    """
+    if kind is RingKind.HYPERBOLIC:
+        lines = [lambda e: e.x == e.y, lambda e: e.x == -e.y]
+    elif kind is RingKind.PARABOLIC:
+        lines = [lambda e: e.x == 0]
+    else:
+        lines = [lambda e: not e]
+    rng = random.Random(seed)
+    for _ in range(trials):
+        z = Element(kind, rng.randint(-50, 50), rng.randint(-50, 50))
+        w = Element(kind, rng.randint(-50, 50), rng.randint(-50, 50))
+        p = z * w
+        for on_line in lines:
+            if on_line(p) and not (on_line(z) or on_line(w)):
+                return False
+    return True
 
 
 class TestDiagonalPrimality:
