@@ -19,6 +19,7 @@ from .core import (
     RingError,
     RingKind,
     _mk,
+    _new,
     diagonal_coords,
     from_diagonal_coords,
 )
@@ -26,6 +27,10 @@ from .core import (
 
 class DivisorIsZeroDivisorError(RingError):
     """Division with remainder needs a divisor of nonzero norm."""
+
+
+class EuclidInvariantError(RingError):
+    """A result broke a guarantee of the division algorithm or the ideal descent."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,16 +41,8 @@ class DivResult:
     remainder: Element
 
 
-def _round_half_away(n: int, d: int) -> int:
-    """Nearest integer to n/d with ties away from zero; d must be > 0."""
-    if n >= 0:
-        return (2 * n + d) // (2 * d)
-    return -((-2 * n + d) // (2 * d))
-
-
-def _require_same_kind(a: Element, b: Element) -> None:
-    if a.kind is not b.kind:
-        raise KindMismatchError(f"mixed rings: {a.kind.name} and {b.kind.name}")
+# div_rem builds its result the way core._mk builds an Element.
+_set_quotient, _set_remainder = (DivResult.__dict__[f].__set__ for f in ("quotient", "remainder"))
 
 
 def div_rem(a: Element, b: Element) -> DivResult:
@@ -54,19 +51,33 @@ def div_rem(a: Element, b: Element) -> DivResult:
     The quotient is obtained by rounding both coordinates of the exact
     rational quotient ``a·b̄/η(b)`` to nearest integers (ties away from
     zero), which pins one deterministic answer out of the valid choices.
+    The bound on the remainder is checked at runtime, also under ``python
+    -O``: a remainder that breaks it raises :class:`EuclidInvariantError`.
     """
-    _require_same_kind(a, b)
-    e = b.eta
+    kind = a.kind
+    if kind is not b.kind:
+        raise KindMismatchError(f"mixed rings: {kind.name} and {b.kind.name}")
+    mu = kind.mu
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    e = bx * bx - mu * by * by
     if e == 0:
         raise DivisorIsZeroDivisorError(f"divisor {b} has norm 0")
-    num = a * b.conj()
-    nx, ny = num.x, num.y
+    # a·b̄ = nx + θny; each coordinate of a·b̄/e is rounded, ties away from zero
+    nx = ax * bx - mu * ay * by
+    ny = ay * bx - ax * by
     if e < 0:
         nx, ny, e = -nx, -ny, -e
-    q = _mk(a.kind, _round_half_away(nx, e), _round_half_away(ny, e))
-    r = a - q * b
-    assert 2 * r.eta_plus <= b.eta_plus
-    return DivResult(q, r)
+    e2 = 2 * e
+    qx = (2 * nx + e) // e2 if nx >= 0 else -((e - 2 * nx) // e2)
+    qy = (2 * ny + e) // e2 if ny >= 0 else -((e - 2 * ny) // e2)
+    rx = ax - qx * bx - mu * qy * by
+    ry = ay - qx * by - qy * bx
+    if 2 * abs(rx * rx - mu * ry * ry) > e:
+        raise EuclidInvariantError(f"remainder of {a} by {b} breaks 2·η⁺(ρ) <= η⁺(b)")
+    res = _new(DivResult)
+    _set_quotient(res, _mk(kind, qx, qy))
+    _set_remainder(res, _mk(kind, rx, ry))
+    return res
 
 
 def divides(b: Element, a: Element) -> Element | None:
@@ -76,30 +87,30 @@ def divides(b: Element, a: Element) -> Element | None:
     cancellable).  For a nonzero zero divisor the quotient is not unique;
     the returned witness is the real-integer one.
     """
-    _require_same_kind(b, a)
+    kind = b.kind
+    if kind is not a.kind:
+        raise KindMismatchError(f"mixed rings: {kind.name} and {a.kind.name}")
     if not b:
         raise ZeroDivisionError("division by the zero element")
-    e = b.eta
+    mu = kind.mu
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    e = bx * bx - mu * by * by
     if e != 0:
-        num = a * b.conj()
-        if num.x % e or num.y % e:
+        nx = ax * bx - mu * ay * by
+        ny = ay * bx - ax * by
+        if nx % e or ny % e:
             return None
-        return _mk(a.kind, num.x // e, num.y // e)
-    if b.kind is RingKind.PARABOLIC:
+        return _mk(kind, nx // e, ny // e)
+    if kind is RingKind.PARABOLIC:
         # b = kt: its multiples are exactly k·(tm)
-        t = b.y
-        if a.x != 0 or a.y % t:
+        if ax != 0 or ay % by:
             return None
-        return _mk(a.kind, a.y // t, 0)
+        return _mk(kind, ay // by, 0)
     # hyperbolic diagonals: multiples of t(1±j) are the m·t(1±j)
-    t = b.x
-    if b.x == b.y:
-        on_diag = a.x == a.y
-    else:
-        on_diag = a.x == -a.y
-    if not on_diag or a.x % t:
+    on_diag = ax == ay if bx == by else ax == -ay
+    if not on_diag or ax % bx:
         return None
-    return _mk(a.kind, a.x // t, 0)
+    return _mk(kind, ax // bx, 0)
 
 
 # -- finitely generated ideals ----------------------------------------------
@@ -153,23 +164,18 @@ def _descend(gens: list[Element], alpha: Element) -> tuple[Element, list[Element
     """
     while True:
         residues: list[Element] = []
-        improved = False
         for g in gens:
             r = div_rem(g, alpha).remainder
             if r.eta != 0:
                 alpha = r
-                improved = True
                 break
             residues.append(r)
-        if not improved:
+        else:
             return alpha, residues
 
 
 def _coset_min(c: int, d: int) -> tuple[int, int]:
-    """Smallest nonzero absolute value in the coset ``c + dZ`` (d >= 1).
-
-    Returns ``(abs_value, representative)``.
-    """
+    """``(abs_value, representative)`` of the least nonzero ``|m|``, m in ``c + dZ`` (d >= 1)."""
     r = c % d
     if r == 0:
         return d, d
@@ -181,9 +187,7 @@ def _coset_min(c: int, d: int) -> tuple[int, int]:
 def _diag_gcds(residues: list[Element]) -> tuple[int, int]:
     """gcds of the diagonal coordinates (u for the + line, v for the - line)."""
     a = b = 0
-    for r in residues:
-        if not r:
-            continue
+    for r in residues:  # zero adds nothing to either gcd
         u, v = diagonal_coords(r)
         if v == 0:
             a = gcd(a, u)
@@ -208,8 +212,7 @@ def _hyperbolic_improvement(alpha: Element, residues: list[Element]) -> Element 
     mu_abs, mu_val = _coset_min(u0, gu)
     mv_abs, mv_val = _coset_min(v0, gv)
     odd_norm = mu_abs * mv_abs
-    best = min(even_norm, odd_norm)
-    if best >= alpha.eta_plus:
+    if min(even_norm, odd_norm) >= alpha.eta_plus:
         return None
     if even_norm <= odd_norm:
         return from_diagonal_coords(gu, gv)
@@ -269,10 +272,12 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
 
     alpha = alpha.canonical_associate()[0]
     alpha2, residues = _descend(gens, alpha)
-    assert alpha2 == alpha  # alpha already has minimal nonzero norm
+    if alpha2 != alpha:
+        raise EuclidInvariantError(f"descent found {alpha2} below {alpha}: α was not minimal")
 
     if kind is RingKind.ELLIPTIC:
-        assert all(not r for r in residues)
+        if any(residues):
+            raise EuclidInvariantError(f"nonzero elliptic residues {residues} after descent")
         return IdealDecomposition(kind, alpha, 0, 0, 0)
     if kind is RingKind.PARABOLIC:
         g0 = alpha.x
@@ -285,14 +290,8 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
     # contribute, hence the two gcd variants per line.
     u0, v0 = diagonal_coords(alpha)
     a_gcd, b_gcd = _diag_gcds(residues)
-    if b_gcd and (b_gcd // gcd(b_gcd, v0)) % 2 == 1:
-        w_plus = gcd(u0, a_gcd)
-    else:
-        w_plus = gcd(2 * u0, a_gcd)
-    if a_gcd and (a_gcd // gcd(a_gcd, u0)) % 2 == 1:
-        w_minus = gcd(v0, b_gcd)
-    else:
-        w_minus = gcd(2 * v0, b_gcd)
+    w_plus = gcd(u0 if b_gcd and (b_gcd // gcd(b_gcd, v0)) % 2 else 2 * u0, a_gcd)
+    w_minus = gcd(v0 if a_gcd and (a_gcd // gcd(a_gcd, u0)) % 2 else 2 * v0, b_gcd)
     return IdealDecomposition(kind, alpha, w_plus // 2, w_minus // 2, 0)
 
 
@@ -308,9 +307,8 @@ def ideal_contains(dec: IdealDecomposition, z: Element) -> bool:
     if dec.kind is RingKind.PARABOLIC:
         return dec.d0_gen != 0 and r.y % dec.d0_gen == 0
     if dec.kind is RingKind.HYPERBOLIC:
-        if r.x == r.y:
-            return dec.dplus_gen != 0 and r.x % dec.dplus_gen == 0
-        return dec.dminus_gen != 0 and r.x % dec.dminus_gen == 0
+        g = dec.dplus_gen if r.x == r.y else dec.dminus_gen
+        return g != 0 and r.x % g == 0
     return False  # elliptic: the only zero divisor is 0
 
 

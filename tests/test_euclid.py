@@ -1,24 +1,32 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import planeint
 from _ideal_oracles import combination_points, ideal_lattice, lattice_contains
 from planeint import (
     DivisorIsZeroDivisorError,
+    DivResult,
     Element,
     FGIdeal,
     KindMismatchError,
+    RingError,
     RingKind,
+    cli,
     decompose,
     div_rem,
     divides,
     elliptic,
+    euclid,
     hyperbolic,
     ideal_contains,
     parabolic,
 )
+from planeint.euclid import EuclidInvariantError
 
 H, K, C = hyperbolic, parabolic, elliptic
 
@@ -235,3 +243,228 @@ class TestDiagonalPrimality:
         assert d_ideal_is_prime_witness(RingKind.HYPERBOLIC, 1000)
         assert d_ideal_is_prime_witness(RingKind.PARABOLIC, 1000)
         assert d_ideal_is_prime_witness(RingKind.ELLIPTIC, 1000)
+
+
+# -- the Element-level division kept as the referee of the integer kernel ----
+
+
+def _ref_round_half_away(n, d):
+    if n >= 0:
+        return (2 * n + d) // (2 * d)
+    return -((-2 * n + d) // (2 * d))
+
+
+def _ref_same_kind(a, b):
+    if a.kind is not b.kind:
+        raise KindMismatchError(f"mixed rings: {a.kind.name} and {b.kind.name}")
+
+
+def reference_div_rem(a, b):
+    """Division with remainder through ring operations on Elements."""
+    _ref_same_kind(a, b)
+    e = b.eta
+    if e == 0:
+        raise DivisorIsZeroDivisorError(f"divisor {b} has norm 0")
+    num = a * b.conj()
+    nx, ny = num.x, num.y
+    if e < 0:
+        nx, ny, e = -nx, -ny, -e
+    q = Element(a.kind, _ref_round_half_away(nx, e), _ref_round_half_away(ny, e))
+    return DivResult(q, a - q * b)
+
+
+def reference_divides(b, a):
+    """Exact quotient through ring operations on Elements, or None."""
+    _ref_same_kind(b, a)
+    if not b:
+        raise ZeroDivisionError("division by the zero element")
+    e = b.eta
+    if e != 0:
+        num = a * b.conj()
+        if num.x % e or num.y % e:
+            return None
+        return Element(a.kind, num.x // e, num.y // e)
+    if b.kind is RingKind.PARABOLIC:
+        t = b.y
+        if a.x != 0 or a.y % t:
+            return None
+        return Element(a.kind, a.y // t, 0)
+    t = b.x
+    on_diag = a.x == a.y if b.x == b.y else a.x == -a.y
+    if not on_diag or a.x % t:
+        return None
+    return Element(a.kind, a.x // t, 0)
+
+
+def _outcome(fn, *args):
+    """The repr of a result (so int-typed coordinates are compared too), or the error."""
+    try:
+        return repr(fn(*args))
+    except (RingError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _check_against_reference(a, b):
+    assert _outcome(div_rem, a, b) == _outcome(reference_div_rem, a, b), (a, b)
+    assert _outcome(divides, b, a) == _outcome(reference_divides, b, a), (b, a)
+
+
+def _zero_divisor(kind, t):
+    """A zero divisor of the ring: t(1±j), kt, or 0 in the elliptic ring."""
+    if kind is RingKind.HYPERBOLIC:
+        return Element(kind, t, t if t % 2 else -t)
+    if kind is RingKind.PARABOLIC:
+        return Element(kind, 0, t)
+    return Element(kind, 0, 0)
+
+
+_TIES = ((1, 0), (0, 1), (1, 1), (-1, 1))
+
+
+def _random_pair(rng, kind):
+    """A seeded pair of at most 300 bits in one of six shapes; returns (shape, a, b)."""
+    bits = rng.randint(1, 300)
+
+    def coord():
+        return rng.randint(-(2**bits), 2**bits)
+
+    shape = rng.choice(("general", "multiple", "tie", "negative", "zero-divisor", "mixed"))
+    b = Element(kind, coord(), coord())
+    a = Element(kind, coord(), coord())
+    if shape == "multiple":
+        a = b * Element(kind, coord(), coord())
+    elif shape == "tie":
+        # b = 2c and a = (2q + t)c: a·b̄/η(b) = q + t/2 lies halfway between integers
+        c, q = a, Element(kind, coord(), coord())
+        b, a = 2 * c, (2 * q + Element(kind, *rng.choice(_TIES))) * c
+    elif shape == "negative":
+        # |y| > |x|: a negative norm in the hyperbolic ring
+        big = rng.randint(2**bits, 2 ** (bits + 1))
+        b = Element(kind, coord() // 2, rng.choice((big, -big)))
+    elif shape == "zero-divisor":
+        b = _zero_divisor(kind, coord() or 1)
+        if rng.random() < 0.5:
+            a = b * Element(kind, coord(), coord())
+    elif shape == "mixed":
+        a = Element(rng.choice([k for k in RingKind if k is not kind]), coord(), coord())
+    return shape, a, b
+
+
+class TestKernelAgainstReference:
+    """div_rem and divides on ints give what the Element-level reference gives."""
+
+    def test_box(self):
+        box = range(-4, 5)
+        for kind in RingKind:
+            points = [Element(kind, x, y) for x in box for y in box]
+            for a in points:
+                for b in points:
+                    _check_against_reference(a, b)
+
+    def test_random_large(self):
+        rng = random.Random(17)
+        for kind in RingKind:
+            seen = dict.fromkeys(("negative-norm", "tie", "zero-divisor", "divides"), 0)
+            for _ in range(3000):
+                shape, a, b = _random_pair(rng, kind)
+                _check_against_reference(a, b)
+                seen["negative-norm"] += b.eta < 0
+                seen["tie"] += shape == "tie" and b.eta != 0
+                seen["zero-divisor"] += b.eta == 0
+                seen["divides"] += a.kind is kind and bool(b) and divides(b, a) is not None
+            assert seen["tie"] > 300 and seen["zero-divisor"] > 300, (kind, seen)
+            assert seen["divides"] > 400, (kind, seen)
+            if kind is RingKind.HYPERBOLIC:
+                assert seen["negative-norm"] > 600, seen
+
+    @given(KINDS, *[st.integers(-(2**300), 2**300)] * 4)
+    def test_property(self, kind, ax, ay, bx, by):
+        _check_against_reference(Element(kind, ax, ay), Element(kind, bx, by))
+
+    @given(KINDS, *[st.integers(-(2**100), 2**100)] * 4, st.sampled_from(_TIES))
+    def test_property_ties(self, kind, cx, cy, qx, qy, tie):
+        c = Element(kind, cx, cy)
+        a = (2 * Element(kind, qx, qy) + Element(kind, *tie)) * c
+        _check_against_reference(a, 2 * c)
+
+    def test_ideals(self, monkeypatch):
+        # decompose and ideal_contains reach the division only through
+        # euclid.div_rem, so patching the reference in reruns them on it
+        rng = random.Random(23)
+        cases = []
+        for kind in RingKind:
+            for bits in (16, 64, 256):
+                def point():
+                    return Element(kind, rng.randint(-(2**bits), 2**bits),
+                                   rng.randint(-(2**bits), 2**bits))
+
+                for _ in range(10):
+                    gens = [point() for _ in range(rng.randint(2, 4))]
+                    if rng.random() < 0.3:
+                        gens[0] = _zero_divisor(kind, rng.randint(1, 2**bits))
+                    members = [
+                        sum((g * Element(kind, rng.randint(-9, 9), rng.randint(-9, 9))
+                             for g in gens), Element(kind, 0, 0))
+                        for _ in range(5)
+                    ]
+                    others = [point() for _ in range(5)]
+                    cases.append((FGIdeal(kind, tuple(gens)), members + others))
+
+        def run():
+            out = []
+            for ideal, queries in cases:
+                dec = decompose(ideal)
+                out.append((repr(dec), [ideal_contains(dec, z) for z in queries]))
+            return out
+
+        got = run()
+        assert all(all(answers[:5]) for _, answers in got)
+        calls = []
+
+        def counted_reference(a, b):
+            calls.append(1)
+            return reference_div_rem(a, b)
+
+        monkeypatch.setattr(euclid, "div_rem", counted_reference)
+        assert run() == got
+        assert len(calls) > 1000
+
+
+class TestInvariantChecks:
+    """Each guarded result raises EuclidInvariantError when broken, also under ``python -O``."""
+
+    def test_error_type(self):
+        assert issubclass(EuclidInvariantError, RingError)
+        assert "EuclidInvariantError" not in planeint.__all__
+
+    def test_division_bound(self, monkeypatch):
+        # with θ² = -2 (the ring Z[√-2]) rounding a·b̄/η(b) leaves 2·η⁺(ρ) = 6 > 4 = η⁺(b)
+        monkeypatch.setattr(RingKind.ELLIPTIC, "mu", -2)
+        with pytest.raises(EuclidInvariantError, match="breaks"):
+            div_rem(C(1, 1), C(2, 0))
+
+    def test_decompose_minimality(self, monkeypatch):
+        # a first descent that reduces nothing leaves α = 3, not of minimal norm
+        real_descend = euclid._descend
+        calls = []
+
+        def lazy_first(gens, alpha):
+            calls.append(alpha)
+            return (alpha, []) if len(calls) == 1 else real_descend(gens, alpha)
+
+        monkeypatch.setattr(euclid, "_descend", lazy_first)
+        with pytest.raises(EuclidInvariantError, match="not minimal"):
+            decompose(FGIdeal.of(C(5, 0), C(3, 0)))
+
+    def test_elliptic_residues(self, monkeypatch):
+        monkeypatch.setattr(euclid, "_descend", lambda gens, alpha: (alpha, [C(0, 1)]))
+        with pytest.raises(EuclidInvariantError, match="residues"):
+            decompose(FGIdeal.of(C(3, 0)))
+
+
+def test_no_assert_statements_in_euclid_and_cli():
+    # results are guarded by explicit checks: "python -O" strips assert statements
+    for module in (euclid, cli):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, (module.__name__, found)
