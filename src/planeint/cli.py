@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import re
 import sys
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from . import analytic, euclid, oracle, quadratic
@@ -24,6 +26,8 @@ from .factor import factor as factor_element
 from .integers import diff_two_squares, two_adic_valuation
 
 MAX_TABLE_BOUND = 100
+
+Output = tuple[dict, Callable[[dict, bool], str]]  # (payload, render(payload, color))
 
 
 class ElementParseError(ValueError):
@@ -45,14 +49,14 @@ def parse_element(text: str, ring_hint: RingKind | None = None) -> Element:
     """Parse the shared element grammar; pure integers need a ring hint."""
     m = _RE_FULL.fullmatch(text)
     if m:
-        x = int(m.group(1))
-        coef = int(m.group(3)) if m.group(3) else 1
+        x = _int(m.group(1))
+        coef = _int(m.group(3)) if m.group(3) else 1
         y = coef if m.group(2) == "+" else -coef
         kind = RingKind.from_symbol(m.group(4))
         return _with_hint(Element(kind, x, y), ring_hint, text)
     m = _RE_IMAG.fullmatch(text)
     if m:
-        coef = int(m.group(2)) if m.group(2) else 1
+        coef = _int(m.group(2)) if m.group(2) else 1
         y = -coef if m.group(1) == "-" else coef
         kind = RingKind.from_symbol(m.group(3))
         return _with_hint(Element(kind, 0, y), ring_hint, text)
@@ -62,12 +66,20 @@ def parse_element(text: str, ring_hint: RingKind | None = None) -> Element:
             raise AmbiguousRingError(
                 f"{text!r} is a bare integer; pass --ring i|j|k to pick its ring"
             )
-        return Element(ring_hint, int(m.group(1)), 0)
+        return Element(ring_hint, _int(m.group(1)), 0)
     pos = next(
         (idx for idx, ch in enumerate(text) if ch not in "0123456789+-ijk \t"),
         len(text),
     )
     raise ElementParseError(f"cannot parse element {text!r} (at position {pos})", pos)
+
+
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # the regex admits only digits: this is the int/str digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ElementParseError(f"a coordinate has more than {limit} digits") from None
 
 
 def _with_hint(z: Element, hint: RingKind | None, text: str) -> Element:
@@ -80,25 +92,37 @@ def _with_hint(z: Element, hint: RingKind | None, text: str) -> Element:
 
 # -- rendering ----------------------------------------------------------------
 
+# the Classification flags and their text labels, in output order
+_VERDICTS = (
+    ("is_zero", "zero"),
+    ("is_unit", "unit"),
+    ("is_zero_divisor", "zero divisor"),
+    ("is_prime", "prime"),
+    ("is_irreducible", "irreducible"),
+    ("is_reducible", "reducible"),
+)
+
 
 def _elt_json(z: Element) -> dict:
     return {"ring": z.kind.symbol, "x": str(z.x), "y": str(z.y), "text": format_element(z)}
 
 
-def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for line in lines:
-            print(line)
+def _flag(value: bool, color: bool) -> str:
+    text, code = ("yes", "32") if value else ("no", "31")
+    return f"\x1b[{code}m{text}\x1b[0m" if color else text
 
 
-def _flag(args: argparse.Namespace, value: bool) -> str:
-    text = "yes" if value else "no"
-    if getattr(args, "color", False):
-        code = "32" if value else "31"
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
+def _lines(*lines: str) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """CSV text with booleans as ``true``/``false`` and csv's CRLF row endings."""
+    out = io.StringIO()
+    csv.writer(out).writerows(
+        [str(v).lower() if isinstance(v, bool) else v for v in row] for row in (header, *rows)
+    )
+    return out.getvalue()
 
 
 def _ring_arg(args: argparse.Namespace) -> RingKind | None:
@@ -106,280 +130,213 @@ def _ring_arg(args: argparse.Namespace) -> RingKind | None:
 
 
 # -- subcommand handlers --------------------------------------------------------
+# Each computes its results once and returns the --json payload (integers as
+# decimal strings, elements as Element) and the renderer of its text output.
 
 
-def _cmd_classify(args: argparse.Namespace) -> None:
+def _cmd_classify(args: argparse.Namespace) -> Output:
     z = parse_element(args.element, _ring_arg(args))
     c = classify_element(z)
     canonical, unit = z.canonical_associate()
     payload = {
-        "element": _elt_json(z),
-        "is_zero": c.is_zero,
-        "is_unit": c.is_unit,
-        "is_zero_divisor": c.is_zero_divisor,
-        "is_prime": c.is_prime,
-        "is_irreducible": c.is_irreducible,
-        "is_reducible": c.is_reducible,
+        "element": z,
+        **{field: getattr(c, field) for field, _ in _VERDICTS},
         "eta": str(z.eta),
         "eta_plus": str(z.eta_plus),
-        "canonical": _elt_json(canonical),
-        "unit": _elt_json(unit),
+        "canonical": canonical,
+        "unit": unit,
     }
-    lines = [
-        f"element        {format_element(z)}",
-        f"eta            {z.eta}   (eta_plus {z.eta_plus})",
-        f"zero           {_flag(args, c.is_zero)}",
-        f"unit           {_flag(args, c.is_unit)}",
-        f"zero divisor   {_flag(args, c.is_zero_divisor)}",
-        f"prime          {_flag(args, c.is_prime)}",
-        f"irreducible    {_flag(args, c.is_irreducible)}",
-        f"reducible      {_flag(args, c.is_reducible)}",
-        f"canonical      {format_element(canonical)}  (unit {format_element(unit)})",
+    return payload, _render_classify
+
+
+def _render_classify(p: dict, color: bool) -> str:
+    rows = [
+        ("element", p["element"]),
+        ("eta", f"{p['eta']}   (eta_plus {p['eta_plus']})"),
+        *((label, _flag(p[field], color)) for field, label in _VERDICTS),
+        ("canonical", f"{p['canonical']}  (unit {p['unit']})"),
     ]
-    _emit(args, payload, lines)
+    return _lines(*(f"{label:<15}{value}" for label, value in rows))
 
 
-def _cmd_factor(args: argparse.Namespace) -> None:
+def _cmd_factor(args: argparse.Namespace) -> Output:
     z = parse_element(args.element, _ring_arg(args))
     f = factor_element(z)
     payload = {
-        "element": _elt_json(z),
-        "unit": _elt_json(f.unit),
-        "factors": [_elt_json(q) for q in f.factors],
+        "element": z,
+        "unit": f.unit,
+        "factors": f.factors,
         "axis_extension": f.axis_extension,
     }
-    parts = " * ".join(f"({format_element(q)})" for q in f.factors)
-    lines = [f"{format_element(z)} = ({format_element(f.unit)}) * {parts}"]
-    if f.axis_extension:
-        lines.append("note: axis element, factored through ky = y*k")
-    _emit(args, payload, lines)
+    return payload, _render_factor
 
 
-def _cmd_divmod(args: argparse.Namespace) -> None:
-    hint = _ring_arg(args)
-    a = parse_element(args.a, hint)
-    b = parse_element(args.b, a.kind if hint is None else hint)
+def _render_factor(p: dict, color: bool) -> str:
+    parts = " * ".join(f"({q})" for q in p["factors"])
+    note = ["note: axis element, factored through ky = y*k"] if p["axis_extension"] else []
+    return _lines(f"{p['element']} = ({p['unit']}) * {parts}", *note)
+
+
+def _cmd_divmod(args: argparse.Namespace) -> Output:
+    a = parse_element(args.a, _ring_arg(args))
+    b = parse_element(args.b, a.kind)
     res = euclid.div_rem(a, b)
-    ok = res.remainder.eta_plus < b.eta_plus
+    remainder_norm, divisor_norm = res.remainder.eta_plus, b.eta_plus
     payload = {
-        "a": _elt_json(a),
-        "b": _elt_json(b),
-        "quotient": _elt_json(res.quotient),
-        "remainder": _elt_json(res.remainder),
-        "remainder_norm": str(res.remainder.eta_plus),
-        "divisor_norm": str(b.eta_plus),
-        "remainder_smaller": ok,
+        "a": a,
+        "b": b,
+        "quotient": res.quotient,
+        "remainder": res.remainder,
+        "remainder_norm": str(remainder_norm),
+        "divisor_norm": str(divisor_norm),
+        "remainder_smaller": remainder_norm < divisor_norm,
     }
-    lines = [
-        f"quotient   {format_element(res.quotient)}",
-        f"remainder  {format_element(res.remainder)}",
-        f"checked    eta_plus(remainder) = {res.remainder.eta_plus} < {b.eta_plus} = eta_plus(divisor)",
-    ]
-    _emit(args, payload, lines)
+    return payload, _render_divmod
 
 
-def _cmd_norm(args: argparse.Namespace) -> None:
+def _render_divmod(p: dict, color: bool) -> str:
+    return _lines(
+        f"quotient   {p['quotient']}",
+        f"remainder  {p['remainder']}",
+        f"checked    eta_plus(remainder) = {p['remainder_norm']} < {p['divisor_norm']} = eta_plus(divisor)",
+    )
+
+
+def _cmd_norm(args: argparse.Namespace) -> Output:
     z = parse_element(args.element, _ring_arg(args))
     eta, eta_plus, tau = norm_data(z)
-    payload = {
-        "element": _elt_json(z),
-        "eta": str(eta),
-        "eta_plus": str(eta_plus),
-        "trace": str(tau),
-    }
-    _emit(args, payload, [f"eta {eta}", f"eta_plus {eta_plus}", f"trace {tau}"])
+    payload = {"element": z, "eta": str(eta), "eta_plus": str(eta_plus), "trace": str(tau)}
+    return payload, lambda p, color: _lines(*(f"{k} {p[k]}" for k in ("eta", "eta_plus", "trace")))
 
 
-def _cmd_dts(args: argparse.Namespace) -> None:
+_DTS_COLUMNS = ("n", "two_adic", "representable", "r", "s")
+
+
+def _cmd_dts(args: argparse.Namespace) -> Output:
     if args.n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = []
     for n in range(1, args.n_max + 1):
         rs = diff_two_squares(n)
-        rows.append(
-            {
-                "n": str(n),
-                "two_adic": str(two_adic_valuation(n)),
-                "representable": rs is not None,
-                "r": str(rs[0]) if rs else None,
-                "s": str(rs[1]) if rs else None,
-            }
-        )
-    if args.json:
-        print(json.dumps({"rows": rows}))
-        return
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "two_adic", "representable", "r", "s"])
-    for row in rows:
-        writer.writerow(
-            [row["n"], row["two_adic"], str(row["representable"]).lower(), row["r"] or "", row["s"] or ""]
-        )
+        r, s = map(str, rs) if rs else (None, None)
+        values = (str(n), str(two_adic_valuation(n)), rs is not None, r, s)
+        rows.append(dict(zip(_DTS_COLUMNS, values)))
+    return {"rows": rows}, lambda p, color: _csv(_DTS_COLUMNS, (row.values() for row in p["rows"]))
 
 
-def _cmd_ideal(args: argparse.Namespace) -> None:
-    hint = _ring_arg(args)
-    gens = []
-    for text in args.generators:
-        gens.append(parse_element(text, hint if not gens else gens[0].kind))
-    ideal = euclid.FGIdeal(gens[0].kind, tuple(gens))
-    dec = euclid.decompose(ideal)
+def _cmd_ideal(args: argparse.Namespace) -> Output:
+    first = parse_element(args.generators[0], _ring_arg(args))
+    gens = [first, *(parse_element(text, first.kind) for text in args.generators[1:])]
+    dec = euclid.decompose(euclid.FGIdeal(first.kind, tuple(gens)))
     payload = {
         "ring": dec.kind.symbol,
-        "generators": [_elt_json(g) for g in gens],
-        "alpha": _elt_json(dec.alpha) if dec.alpha is not None else None,
+        "generators": gens,
+        "alpha": dec.alpha,
         "dplus_gen": str(dec.dplus_gen),
         "dminus_gen": str(dec.dminus_gen),
         "d0_gen": str(dec.d0_gen),
     }
-    lines = [
-        "alpha       " + (format_element(dec.alpha) if dec.alpha is not None else "(none: ideal lies in the zero divisors)"),
-        f"diag + gen  {dec.dplus_gen}",
-        f"diag - gen  {dec.dminus_gen}",
-        f"axis gen    {dec.d0_gen}",
-    ]
     if args.contains is not None:
-        z = parse_element(args.contains, gens[0].kind)
-        member = euclid.ideal_contains(dec, z)
-        payload["contains"] = {"element": _elt_json(z), "member": member}
-        lines.append(f"contains {format_element(z)}?  {_flag(args, member)}")
-    _emit(args, payload, lines)
+        z = parse_element(args.contains, first.kind)
+        payload["contains"] = {"element": z, "member": euclid.ideal_contains(dec, z)}
+    return payload, _render_ideal
 
 
-def _cmd_oracle(args: argparse.Namespace) -> None:
+def _render_ideal(p: dict, color: bool) -> str:
+    alpha, query = p["alpha"], p.get("contains")
+    lines = [
+        "alpha       " + (str(alpha) if alpha is not None else "(none: ideal lies in the zero divisors)"),
+        f"diag + gen  {p['dplus_gen']}",
+        f"diag - gen  {p['dminus_gen']}",
+        f"axis gen    {p['d0_gen']}",
+    ]
+    if query:
+        lines.append(f"contains {query['element']}?  {_flag(query['member'], color)}")
+    return _lines(*lines)
+
+
+def _cmd_oracle(args: argparse.Namespace) -> Output:
     z = parse_element(args.element, _ring_arg(args))
     if args.mode == "irreducible":
-        verdict = oracle.oracle_irreducible(z)
-        _emit(
-            args,
-            {"element": _elt_json(z), "irreducible": verdict},
-            [f"irreducible  {_flag(args, verdict)}"],
-        )
-    elif args.mode == "prime":
+        payload = {"element": z, "irreducible": oracle.oracle_irreducible(z)}
+        return payload, lambda p, color: _lines(f"irreducible  {_flag(p['irreducible'], color)}")
+    if args.mode == "prime":
         res = oracle.oracle_prime(z, args.box)
-        payload = {
-            "element": _elt_json(z),
-            "verdict": res.verdict.value,
-            "witness": [_elt_json(w) for w in res.witness] if res.witness else None,
-        }
-        lines = [f"verdict  {res.verdict.value}"]
-        if res.witness:
-            a, b = res.witness
-            lines.append(f"witness  {format_element(a)}, {format_element(b)}")
-        _emit(args, payload, lines)
-    else:
-        divs = oracle.divisors(z)
-        payload = {"element": _elt_json(z), "divisors": [_elt_json(d) for d in divs]}
-        _emit(args, payload, [", ".join(format_element(d) for d in divs)])
+        payload = {"element": z, "verdict": res.verdict.value, "witness": res.witness or None}
+        return payload, _render_oracle_prime
+    payload = {"element": z, "divisors": oracle.divisors(z)}
+    return payload, lambda p, color: _lines(", ".join(map(str, p["divisors"])))
 
 
-def _cmd_classify_poly(args: argparse.Namespace) -> None:
+def _render_oracle_prime(p: dict, color: bool) -> str:
+    witness = [f"witness  {p['witness'][0]}, {p['witness'][1]}"] if p["witness"] else []
+    return _lines(f"verdict  {p['verdict']}", *witness)
+
+
+def _cmd_classify_poly(args: argparse.Namespace) -> Output:
     poly = quadratic.QuadraticPoly(Fraction(args.a), Fraction(args.b), Fraction(args.c))
     kind = quadratic.classify_quadratic(poly)
-    params = poly.params()
-    _, shift, scale = quadratic.canonicalize(params)
-    payload = {
-        "a": str(poly.a),
-        "b": str(poly.b),
-        "c": str(poly.c),
-        "disc": str(poly.disc),
-        "kind": kind.symbol,
-        "shift": shift,
-        "scale": scale,
-    }
-    lines = [
-        f"discriminant  {poly.disc}",
+    _, shift, scale = quadratic.canonicalize(poly.params())
+    payload = {key: str(getattr(poly, key)) for key in ("a", "b", "c", "disc")}
+    payload.update(kind=kind.symbol, shift=shift, scale=scale)
+    return payload, _render_classify_poly
+
+
+def _render_classify_poly(p: dict, color: bool) -> str:
+    kind = RingKind.from_symbol(p["kind"])
+    return _lines(
+        f"discriminant  {p['disc']}",
         f"kind          {kind.name.lower()} (theta^2 = {kind.mu})",
-        f"change of basis: shift {shift}, scale {scale}",
-    ]
-    _emit(args, payload, lines)
-
-
-def _cmd_exp(args: argparse.Namespace) -> None:
-    kind = RingKind.from_symbol(args.ring)
-    z = analytic.RealElement(kind, args.x, args.y)
-    w = analytic.exp_theta(z)
-    _emit(
-        args,
-        {"ring": kind.symbol, "x": w.x, "y": w.y},
-        [f"exp({args.x} + {args.y}{kind.symbol}) = {w.x} + {w.y}{kind.symbol}"],
+        f"change of basis: shift {p['shift']}, scale {p['scale']}",
     )
 
 
-def _cmd_pow(args: argparse.Namespace) -> None:
+def _cmd_exp_pow(args: argparse.Namespace) -> Output:
     kind = RingKind.from_symbol(args.ring)
     z = analytic.RealElement(kind, args.x, args.y)
-    w = analytic.pow_moivre(z, args.n)
-    _emit(
-        args,
-        {"ring": kind.symbol, "x": w.x, "y": w.y},
-        [f"({args.x} + {args.y}{kind.symbol})^{args.n} = {w.x} + {w.y}{kind.symbol}"],
-    )
+    base = f"{args.x} + {args.y}{kind.symbol}"
+    if args.command == "exp":
+        w, lhs = analytic.exp_theta(z), f"exp({base})"
+    else:
+        w, lhs = analytic.pow_moivre(z, args.n), f"({base})^{args.n}"
+    payload = {"ring": kind.symbol, "x": w.x, "y": w.y}
+    return payload, lambda p, color: _lines(f"{lhs} = {p['x']} + {p['y']}{p['ring']}")
 
 
-def _cmd_table(args: argparse.Namespace) -> None:
+def _cmd_table(args: argparse.Namespace) -> Output:
     if args.bound > MAX_TABLE_BOUND:
         raise ValueError(f"bound too large (maximum {MAX_TABLE_BOUND})")
     kind = RingKind.from_symbol(args.ring)
-    rows = []
-    counts = {"classes": 0, "units": 0, "zero_divisors": 0, "primes": 0, "irreducible_non_primes": 0}
     b = args.bound
+    rows = []
     for x in range(-b, b + 1):
         for y in range(-b, b + 1):
             z = Element(kind, x, y)
             if z.canonical_associate()[0] != z:
                 continue
             c = classify_element(z)
-            counts["classes"] += 1
-            counts["units"] += c.is_unit
-            counts["zero_divisors"] += c.is_zero_divisor
-            counts["primes"] += c.is_prime
-            counts["irreducible_non_primes"] += c.is_irreducible and not c.is_prime
-            rows.append((z, c))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ring": kind.symbol,
-                    "bound": str(b),
-                    "summary": {k: str(v) for k, v in counts.items()},
-                    "rows": [
-                        {
-                            "element": _elt_json(z),
-                            "eta": str(z.eta),
-                            "eta_plus": str(z.eta_plus),
-                            "is_unit": c.is_unit,
-                            "is_zero_divisor": c.is_zero_divisor,
-                            "is_prime": c.is_prime,
-                            "is_irreducible": c.is_irreducible,
-                            "is_reducible": c.is_reducible,
-                        }
-                        for z, c in rows
-                    ],
-                }
-            )
-        )
-        return
-    print(f"# canonical associate classes of ring {kind.symbol} with |x|,|y| <= {b}")
-    print(f"# counts are per class: {counts}")
-    writer = csv.writer(sys.stdout)
-    writer.writerow(
-        ["element", "x", "y", "eta", "eta_plus", "unit", "zero_divisor", "prime", "irreducible", "reducible"]
-    )
-    for z, c in rows:
-        writer.writerow(
-            [
-                format_element(z),
-                z.x,
-                z.y,
-                z.eta,
-                z.eta_plus,
-                str(c.is_unit).lower(),
-                str(c.is_zero_divisor).lower(),
-                str(c.is_prime).lower(),
-                str(c.is_irreducible).lower(),
-                str(c.is_reducible).lower(),
-            ]
-        )
+            row = {"element": z, "eta": str(z.eta), "eta_plus": str(z.eta_plus)}
+            # the table's schema has no is_zero column
+            rows.append(row | {field: getattr(c, field) for field, _ in _VERDICTS[1:]})
+    counts = {
+        "classes": len(rows),
+        "units": sum(r["is_unit"] for r in rows),
+        "zero_divisors": sum(r["is_zero_divisor"] for r in rows),
+        "primes": sum(r["is_prime"] for r in rows),
+        "irreducible_non_primes": sum(r["is_irreducible"] and not r["is_prime"] for r in rows),
+    }
+    summary = {k: str(v) for k, v in counts.items()}
+    return {"ring": kind.symbol, "bound": str(b), "summary": summary, "rows": rows}, _render_table
+
+
+def _render_table(p: dict, color: bool) -> str:
+    counts = {k: int(v) for k, v in p["summary"].items()}
+    verdicts = [label.replace(" ", "_") for _, label in _VERDICTS[1:]]
+    rows = ([z, z.x, z.y, *rest] for z, *rest in (row.values() for row in p["rows"]))
+    return _lines(
+        f"# canonical associate classes of ring {p['ring']} with |x|,|y| <= {p['bound']}",
+        f"# counts are per class: {counts}",
+    ) + _csv(["element", "x", "y", "eta", "eta_plus", *verdicts], rows)
 
 
 # -- parser ---------------------------------------------------------------------
@@ -402,85 +359,68 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--color", action="store_true", help="colorize yes/no flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, func: Callable, help: str, *positionals: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(func=func)
+        return p
+
     def ring_opt(p: argparse.ArgumentParser) -> None:
         p.add_argument("--ring", choices=["i", "j", "k"], help="ring for bare-integer elements")
 
-    p = sub.add_parser("classify", help="unit / zero-divisor / prime / irreducible verdicts")
-    p.add_argument("element")
-    ring_opt(p)
-    p.set_defaults(func=_cmd_classify)
+    for name, func, help, *positionals in (
+        ("classify", _cmd_classify, "unit / zero-divisor / prime / irreducible verdicts", "element"),
+        ("factor", _cmd_factor, "factor into irreducibles", "element"),
+        ("divmod", _cmd_divmod, "division with remainder", "a", "b"),
+        ("norm", _cmd_norm, "norm, absolute norm and trace", "element"),
+    ):
+        ring_opt(command(name, func, help, *positionals))
 
-    p = sub.add_parser("factor", help="factor into irreducibles")
-    p.add_argument("element")
-    ring_opt(p)
-    p.set_defaults(func=_cmd_factor)
-
-    p = sub.add_parser("divmod", help="division with remainder")
-    p.add_argument("a")
-    p.add_argument("b")
-    ring_opt(p)
-    p.set_defaults(func=_cmd_divmod)
-
-    p = sub.add_parser("norm", help="norm, absolute norm and trace")
-    p.add_argument("element")
-    ring_opt(p)
-    p.set_defaults(func=_cmd_norm)
-
-    p = sub.add_parser("dts", help="difference-of-two-squares table for 1..n")
+    p = command("dts", _cmd_dts, "difference-of-two-squares table for 1..n")
     p.add_argument("n_max", type=int)
-    p.set_defaults(func=_cmd_dts)
 
-    p = sub.add_parser("ideal", help="decompose a finitely generated ideal")
+    p = command("ideal", _cmd_ideal, "decompose a finitely generated ideal")
     p.add_argument("generators", nargs="+")
     p.add_argument("--contains", help="also test membership of this element")
     ring_opt(p)
-    p.set_defaults(func=_cmd_ideal)
 
-    p = sub.add_parser("oracle", help="brute-force irreducibility / primality / divisors")
+    p = command("oracle", _cmd_oracle, "brute-force irreducibility / primality / divisors")
     p.add_argument("mode", choices=["irreducible", "prime", "divisors"])
     p.add_argument("element")
     p.add_argument("--box", type=int, default=10, help="coordinate bound for the primality scan")
     ring_opt(p)
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("classify-poly", help="canonical structure of R[x]/(ax^2+bx+c)")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-    p.set_defaults(func=_cmd_classify_poly)
+    poly_help = "canonical structure of R[x]/(ax^2+bx+c)"
+    command("classify-poly", _cmd_classify_poly, poly_help, "a", "b", "c")
 
-    p = sub.add_parser("exp", help="ring exponential at float coordinates")
+    p = command("exp", _cmd_exp_pow, "ring exponential at float coordinates")
     p.add_argument("x", type=float)
     p.add_argument("y", type=float)
     p.add_argument("--ring", choices=["i", "j", "k"], required=True)
-    p.set_defaults(func=_cmd_exp)
 
-    p = sub.add_parser("pow", help="integer power via the hyperbolic polar form")
+    p = command("pow", _cmd_exp_pow, "integer power via the hyperbolic polar form")
     p.add_argument("x", type=float)
     p.add_argument("y", type=float)
     p.add_argument("n", type=int)
     p.add_argument("--ring", choices=["i", "j", "k"], required=True)
-    p.set_defaults(func=_cmd_pow)
 
-    p = sub.add_parser("table", help="classification table over canonical classes")
+    p = command("table", _cmd_table, "classification table over canonical classes")
     p.add_argument("--ring", choices=["i", "j", "k"], required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(func=_cmd_table)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except ElementParseError as exc:
+        payload, render = args.func(args)
+        out = json.dumps(payload, default=_elt_json) + "\n" if args.json else render(payload, args.color)
+        sys.stdout.write(out)
+    except (ElementParseError, RingError, ValueError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RingError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ElementParseError) else 1
     return 0
 
 

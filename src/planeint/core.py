@@ -79,7 +79,8 @@ class Element:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, RingKind):
             raise TypeError(f"kind must be a RingKind, got {self.kind!r}")
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
+        # exactly int: bool and other int subclasses would leak into str and repr
+        if type(self.x) is not int or type(self.y) is not int:
             raise TypeError("coordinates must be exact ints")
 
     # -- arithmetic -------------------------------------------------------

@@ -1,6 +1,13 @@
+import contextlib
+import hashlib
+import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planeint import Element, RingKind, elliptic, format_element, hyperbolic, parabolic
 from planeint.cli import AmbiguousRingError, ElementParseError, main, parse_element
@@ -39,6 +46,11 @@ class TestParseElement:
                 for y in range(-4, 5):
                     z = Element(kind, x, y)
                     assert parse_element(format_element(z)) == z
+
+    @given(st.sampled_from(RingKind), st.integers(-(10**4000), 10**4000), st.integers(-(10**4000), 10**4000))
+    def test_format_parse_roundtrip_large(self, kind, x, y):
+        z = Element(kind, x, y)
+        assert parse_element(format_element(z)) == z
 
     def test_format_normalizes(self):
         assert format_element(parse_element("3 - 1j")) == "3-1j"
@@ -176,3 +188,216 @@ class TestCommands:
         assert rc == 2
         rc, _, err = run(capsys, "classify", "7")
         assert rc == 2 and "bare integer" in err
+
+
+# a literal one digit over the interpreter's int/str limit, in each grammar position
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int/str digit limit"
+)
+class TestOverLongLiteral:
+    def test_parse_error_names_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        big = "7" * (limit + 1)
+        for text, hint in [
+            (f"{big}+1i", None),
+            (f"1-{big}j", None),
+            (f"{big}k", None),
+            (f"-{big}i", None),
+            (big, RingKind.HYPERBOLIC),
+        ]:
+            with pytest.raises(ElementParseError, match=f"more than {limit} digits"):
+                parse_element(text, hint)
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_cli_exits_2(self, capsys, flags):
+        limit = sys.get_int_max_str_digits()
+        rc, out, err = run(capsys, *flags, "classify", "7" * (limit + 1) + "+1i")
+        assert (rc, out, err) == (2, "", f"error: a coordinate has more than {limit} digits\n")
+
+
+CLI_EXPECTED = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "cli_expected.json").read_text()
+)
+
+
+class TestGoldenOutput:
+    """Output bytes: the benchmark's pinned stdout digests, plus exact text for a few argv."""
+
+    @pytest.mark.parametrize("argv, digest", sorted(CLI_EXPECTED.items()))
+    def test_benchmark_digest(self, capsys, argv, digest):
+        rc, out, err = run(capsys, *argv.split())
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, rc, out, err",
+        [
+            (
+                "--color classify 7+2i",
+                0,
+                "element        7+2i\n"
+                "eta            53   (eta_plus 53)\n"
+                "zero           \x1b[31mno\x1b[0m\n"
+                "unit           \x1b[31mno\x1b[0m\n"
+                "zero divisor   \x1b[31mno\x1b[0m\n"
+                "prime          \x1b[32myes\x1b[0m\n"
+                "irreducible    \x1b[32myes\x1b[0m\n"
+                "reducible      \x1b[31mno\x1b[0m\n"
+                "canonical      7+2i  (unit 1+0i)\n",
+                "",
+            ),
+            ("classify wat", 2, "", "error: cannot parse element 'wat' (at position 0)\n"),
+            ("classify 7", 2, "", "error: '7' is a bare integer; pass --ring i|j|k to pick its ring\n"),
+            ("factor 3+3j", 1, "", "error: hyperbolic zero divisors have no irreducible factorization\n"),
+            ("table --ring j --bound 5000", 1, "", "error: bound too large (maximum 100)\n"),
+            ("pow 1 1 2 --ring j", 1, "", "error: 1.0+1.0j is outside the sector eta > 0, x > 0\n"),
+        ],
+    )
+    def test_exact(self, capsys, argv, rc, out, err):
+        assert run(capsys, *argv.split()) == (rc, out, err)
+
+    def test_csv_rows_end_in_crlf(self, capsys):
+        for argv in (["dts", "3"], ["table", "--ring", "k", "--bound", "1"]):
+            _, out, _ = run(capsys, *argv)
+            rows = [line for line in out.split("\n") if line and not line.startswith("#")]
+            assert rows and all(row.endswith("\r") for row in rows)
+
+
+# -- JSON schema: the key set of every subcommand and every oracle mode ---------
+
+ELEMENT_KEYS = {"ring", "x", "y", "text"}
+VERDICT_KEYS = {"is_unit", "is_zero_divisor", "is_prime", "is_irreducible", "is_reducible"}
+# top-level keys, and for each key holding elements or rows, the key set inside
+SCHEMA = {
+    "classify": (
+        {"element", "is_zero", *VERDICT_KEYS, "eta", "eta_plus", "canonical", "unit"},
+        {"element": ELEMENT_KEYS, "canonical": ELEMENT_KEYS, "unit": ELEMENT_KEYS},
+    ),
+    "factor": (
+        {"element", "unit", "factors", "axis_extension"},
+        {"element": ELEMENT_KEYS, "unit": ELEMENT_KEYS, "factors": ELEMENT_KEYS},
+    ),
+    "divmod": (
+        {"a", "b", "quotient", "remainder", "remainder_norm", "divisor_norm", "remainder_smaller"},
+        {"a": ELEMENT_KEYS, "b": ELEMENT_KEYS, "quotient": ELEMENT_KEYS, "remainder": ELEMENT_KEYS},
+    ),
+    "norm": ({"element", "eta", "eta_plus", "trace"}, {"element": ELEMENT_KEYS}),
+    "dts": ({"rows"}, {"rows": {"n", "two_adic", "representable", "r", "s"}}),
+    "ideal": (
+        {"ring", "generators", "alpha", "dplus_gen", "dminus_gen", "d0_gen"},
+        {"generators": ELEMENT_KEYS, "alpha": ELEMENT_KEYS, "contains": {"element", "member"}},
+    ),
+    "oracle irreducible": ({"element", "irreducible"}, {"element": ELEMENT_KEYS}),
+    "oracle prime": ({"element", "verdict", "witness"}, {"element": ELEMENT_KEYS, "witness": ELEMENT_KEYS}),
+    "oracle divisors": ({"element", "divisors"}, {"element": ELEMENT_KEYS, "divisors": ELEMENT_KEYS}),
+    "classify-poly": ({"a", "b", "c", "disc", "kind", "shift", "scale"}, {}),
+    "exp": ({"ring", "x", "y"}, {}),
+    "pow": ({"ring", "x", "y"}, {}),
+    "table": (
+        {"ring", "bound", "summary", "rows"},
+        {
+            "summary": {"classes", "units", "zero_divisors", "primes", "irreducible_non_primes"},
+            "rows": {"element", "eta", "eta_plus", *VERDICT_KEYS},
+        },
+    ),
+}
+
+
+def check_element(item):
+    assert set(item) == ELEMENT_KEYS
+    assert parse_element(item["text"]) == Element(RingKind(item["ring"]), int(item["x"]), int(item["y"]))
+
+
+def check_schema(command, data):
+    top, inner = SCHEMA[command]
+    assert set(data) == top | ({"contains"} if "contains" in data else set())
+    for key, keys in inner.items():
+        value = data.get(key)  # None for an absent "contains" or a null alpha or witness
+        if value is None:
+            continue
+        for item in value if isinstance(value, list) else [value]:
+            assert set(item) == keys
+            if keys == ELEMENT_KEYS:
+                check_element(item)
+            elif "element" in item:  # a table row or the ideal's membership query
+                check_element(item["element"])
+
+
+def element_text(kind, bound=30):
+    coord = st.integers(-bound, bound)
+    return st.builds(lambda x, y: format_element(Element(kind, x, y)), coord, coord)
+
+
+@st.composite
+def command_argv(draw):
+    """(schema key, argv) for one subcommand on drawn inputs."""
+    command = draw(st.sampled_from(sorted(SCHEMA)))
+    kind = draw(st.sampled_from(RingKind))
+    elt = element_text(kind)
+    if command in ("classify", "factor", "norm"):
+        return command, [command, draw(elt)]
+    if command == "divmod":
+        return command, [command, draw(elt), draw(elt)]
+    if command == "ideal":
+        argv = [command, *draw(st.lists(elt, min_size=1, max_size=3))]
+        return command, argv + (["--contains", draw(elt)] if draw(st.booleans()) else [])
+    if command.startswith("oracle"):
+        return command, [*command.split(), draw(element_text(kind, 12)), "--box", "3"]
+    if command == "dts":
+        return command, [command, str(draw(st.integers(1, 40)))]
+    if command == "classify-poly":
+        return command, [command, *(str(draw(st.integers(-5, 5))) for _ in range(3))]
+    if command in ("exp", "pow"):
+        coord = st.integers(-3, 3).map(str)
+        n = [str(draw(st.integers(-3, 3)))] if command == "pow" else []
+        return command, [command, draw(coord), draw(coord), *n, "--ring", kind.symbol]
+    return command, [command, "--ring", kind.symbol, "--bound", str(draw(st.integers(0, 4)))]
+
+
+class TestJsonSchema:
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("classify", "classify 7+2i"),
+            ("factor", "factor 30+8i"),
+            ("divmod", "divmod 27+5j 4+1j"),
+            ("norm", "norm 12-5k"),
+            ("dts", "dts 8"),
+            ("ideal", "ideal 6+4j 10+2j --contains 4+2j"),
+            ("ideal", "ideal 2+2j 3+3j"),
+            ("oracle irreducible", "oracle irreducible 3+1j"),
+            ("oracle prime", "oracle prime 2 --ring j --box 3"),
+            ("oracle prime", "oracle prime 7+2i --box 3"),
+            ("oracle divisors", "oracle divisors 12+6k"),
+            ("classify-poly", "classify-poly 1 -3 2"),
+            ("exp", "exp 0 3 --ring k"),
+            ("pow", "pow 5 3 2 --ring j"),
+            ("table", "table --ring j --bound 3"),
+        ],
+    )
+    def test_each_subcommand(self, capsys, command, argv):
+        rc, out, _ = run(capsys, "--json", *argv.split())
+        assert rc == 0
+        check_schema(command, json.loads(out))
+
+    @staticmethod
+    def run(*argv):
+        # Hypothesis reuses one capsys across examples, so capture per call here
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(list(argv))
+        return rc, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(command_argv())
+    def test_drawn_inputs(self, case):
+        command, argv = case
+        rc, out, err = self.run("--json", *argv)
+        text_rc, text_out, text_err = self.run(*argv)
+        # one payload feeds both renderings: same exit code, same error
+        assert (rc, err) == (text_rc, text_err)
+        if rc == 0:
+            assert text_out and not err
+            check_schema(command, json.loads(out))
+        else:
+            assert rc == 1 and out == text_out == "" and err.startswith("error: ")

@@ -354,6 +354,21 @@ class TestResultsAreValidElements:
         with pytest.raises(TypeError):
             Element("i", 1, 0)
 
+    @pytest.mark.parametrize("x, y", [(True, False), (1, True), (False, 0)])
+    def test_constructor_rejects_bool(self, x, y):
+        for kind in RingKind:
+            with pytest.raises(TypeError):
+                Element(kind, x, y)
+        with pytest.raises(TypeError):
+            elliptic(x, y)
+
+    def test_constructor_rejects_int_subclass(self):
+        class Int(int):
+            pass
+
+        with pytest.raises(TypeError):
+            Element(RingKind.PARABOLIC, Int(3), 1)
+
     def test_mu(self):
         assert RingKind.ELLIPTIC.mu == -1
         assert RingKind.HYPERBOLIC.mu == 1
