@@ -273,8 +273,15 @@ def _render_oracle_prime(p: dict, color: bool) -> str:
     return _lines(f"verdict  {p['verdict']}", *witness)
 
 
+def _coefficient(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # Fraction('a'), Fraction('1/0')
+        raise ElementParseError(f"cannot parse coefficient {text!r}") from None
+
+
 def _cmd_classify_poly(args: argparse.Namespace) -> Output:
-    poly = quadratic.QuadraticPoly(Fraction(args.a), Fraction(args.b), Fraction(args.c))
+    poly = quadratic.QuadraticPoly(*map(_coefficient, (args.a, args.b, args.c)))
     kind = quadratic.classify_quadratic(poly)
     _, shift, scale = quadratic.canonicalize(poly.params())
     payload = {key: str(getattr(poly, key)) for key in ("a", "b", "c", "disc")}
@@ -343,11 +350,12 @@ def _render_table(p: dict, color: bool) -> str:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Accept leading-minus literals (-2+0k, -3/4, -15) as positionals."""
+    """Accept leading-minus literals (-2+0k, -3/4, -15, -j) as positionals."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d")
+        # a minus, then a digit or a lone unit letter: -h and --json stay options
+        self._negative_number_matcher = re.compile(r"^-(\d|[ijk]$)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,9 +6,30 @@ a hard error here).  Factorizations are not unique in the hyperbolic and
 parabolic rings; :func:`factor` returns one deterministic choice with
 canonical-associate factors sorted by norm.
 
-:func:`split` decides irreducibility through :mod:`planeint.classify`; the
-``_split_*`` helpers only build the witness for an element already known
-to be reducible.
+Cost model: :func:`factor` factors one integer, or in the hyperbolic ring
+two integers of about half the norm's size, and reads every irreducible
+factor from that one factorization:
+
+* elliptic and hyperbolic: an irreducible element of prime norm (or of the
+  hyperbolic two-power form) is recognised by :mod:`planeint.classify`
+  from one primality test of its norm.
+* elliptic: otherwise ``int_factor(η⁺)`` runs once, :func:`sum_two_squares`
+  once per distinct prime p ≡ 1 (mod 4), and one :func:`divides` peels each
+  factor (two when a + bi does not divide and a - bi does).
+* hyperbolic: otherwise, in the diagonal coordinates (u, v) = (x+y, x-y)
+  the product is componentwise and η = uv, so ``int_factor(|u|)`` and
+  ``int_factor(|v|)`` give every factor: (p, 1) for each odd prime of u,
+  (1, p) for each odd prime of v, then copies of 2 = (2, 2) and one element
+  of the irreducible form (2^γ+1) ± j(2^γ-1).  No division in the ring is
+  needed.
+* parabolic: ``int_factor(|x|)`` runs once.  Each prime power p^g of x gives
+  the piece p^g + kr with r ≡ y·(x/p^g)⁻¹ (mod p^g), and copies of p are
+  peeled from a piece while it stays reducible.
+
+The factors are the ones the recursion ``a = b·c`` through :func:`split`
+reaches, down to the choice among the non-unique factorizations.
+:func:`split` decides irreducibility through :mod:`planeint.classify` and
+builds its witness from the same helpers.
 """
 
 from __future__ import annotations
@@ -16,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classify import _parabolic_irreducible, is_irreducible
-from .core import Element, RingError, RingKind
+from .core import Element, RingError, RingKind, _mk, diagonal_coords, from_diagonal_coords
 from .euclid import divides
 from .integers import int_factor, sum_two_squares
 
@@ -25,7 +46,8 @@ class ZeroDivisorFactorizationError(RingError):
     """The hyperbolic diagonals contain no irreducible elements."""
 
 
-# -- splitting ---------------------------------------------------------------
+class FactorWitnessError(RingError):
+    """A factor read from the norm's factorization failed its check in the ring."""
 
 
 def _check_splittable(a: Element) -> None:
@@ -39,21 +61,53 @@ def _check_splittable(a: Element) -> None:
         )
 
 
+# -- the irreducibles each ring reads from one integer factorization -------------
+
+
+def _gaussian_primes(kind: RingKind, p: int) -> tuple[Element, ...]:
+    """The Gaussian primes over the integer prime p, in the order they are tried."""
+    if p == 2:
+        return (_mk(kind, 1, 1),)
+    if p % 4 == 3:
+        return (_mk(kind, p, 0),)
+    s, t = sum_two_squares(p)
+    return _mk(kind, s, t), _mk(kind, s, -t)
+
+
+def _hyperbolic_peel(a: Element) -> tuple[int, int, list[tuple[int, int]]]:
+    """a's diagonal coordinates (u, v) and those of its irreducible factors, in peeling order.
+
+    Odd primes come first, ascending, (p, 1) before (1, p); then, if u and v
+    are even, 2 = (2, 2) until the cofactor has the irreducible form
+    (2^(γ+1), 2) or (2, 2^(γ+1)).  Every factor has positive diagonal
+    coordinates, which makes it its own canonical associate.
+    """
+    u, v = diagonal_coords(a)
+    odd = sorted(
+        [(p, 0, e) for p, e in int_factor(abs(u))[1] if p != 2]
+        + [(p, 1, e) for p, e in int_factor(abs(v))[1] if p != 2]
+    )
+    peeled = [(1, p) if side else (p, 1) for p, side, e in odd for _ in range(e)]
+    a2, b2 = ((w & -w).bit_length() - 1 for w in (u, v))
+    if a2:  # u ≡ v (mod 2), so b2 > 0 as well
+        m = min(a2, b2)
+        peeled += [(2, 2)] * (m - 1)
+        peeled.append((2 << (a2 - m), 2 << (b2 - m)))
+    return u, v, peeled
+
+
+def _parabolic_residue(x: int, y: int, m: int) -> int:
+    """r in [0, m) with ``m + kr`` the factor of ``x + ky`` (x > 0) at the prime power m of x."""
+    return y * pow(x // m, -1, m) % m
+
+
+# -- splitting ---------------------------------------------------------------
+
+
 def _split_hyperbolic(a: Element) -> tuple[Element, Element]:
-    odd = [p for p, _ in int_factor(a.eta_plus)[1] if p != 2]
-    if odd:
-        # a prime of norm p divides a (or its conjugate does)
-        n = (odd[0] - 1) // 2
-        cand = Element(a.kind, n + 1, n)
-        q = divides(cand, a)
-        if q is None:
-            cand = cand.conj()
-            q = divides(cand, a)
-        assert q is not None, "one of the conjugate norm-p primes must divide"
-        return cand, q
-    q = divides(Element(a.kind, 2, 0), a)
-    assert q is not None, "off the irreducible form, the element is even"
-    return Element(a.kind, 2, 0), q
+    u, v, peeled = _hyperbolic_peel(a)
+    fu, fv = peeled[0]
+    return from_diagonal_coords(fu, fv), from_diagonal_coords(u // fu, v // fv)
 
 
 def _split_parabolic(a: Element, x_primes: list[tuple[int, int]]) -> tuple[Element, Element]:
@@ -68,28 +122,18 @@ def _split_parabolic(a: Element, x_primes: list[tuple[int, int]]) -> tuple[Eleme
     # coprime split x = m*n; solve r*n + s*m = y
     m = p**g
     n = x // m
-    r = y * pow(n, -1, m) % m
+    r = _parabolic_residue(x, y, m)
     s = (y - r * n) // m
     return Element(a.kind, m, r), Element(a.kind, n, s)
 
 
 def _split_elliptic(a: Element) -> tuple[Element, Element]:
-    candidates: list[Element] = []
     for p, _ in int_factor(a.eta_plus)[1]:
-        if p == 2:
-            candidates.append(Element(a.kind, 1, 1))
-        elif p % 4 == 1:
-            rs = sum_two_squares(p)
-            assert rs is not None
-            candidates.append(Element(a.kind, rs[0], rs[1]))
-            candidates.append(Element(a.kind, rs[0], -rs[1]))
-        else:
-            candidates.append(Element(a.kind, p, 0))
-    for c in candidates:
-        q = divides(c, a)
-        if q is not None:
-            return c, q
-    raise AssertionError("a reducible element has a Gaussian prime divisor")
+        for c in _gaussian_primes(a.kind, p):
+            q = divides(c, a)
+            if q is not None:
+                return c, q
+    raise FactorWitnessError(f"no Gaussian prime over the norm of {a} divides it")
 
 
 def split(a: Element) -> tuple[Element, Element] | None:
@@ -135,23 +179,80 @@ class Factorization:
         return acc
 
 
-def _factor_rec(a: Element) -> tuple[Element, list[Element]]:
-    pair = split(a)
-    if pair is None:
-        canonical, u = a.canonical_associate()
-        return u.inverse(), [canonical]
-    u1, f1 = _factor_rec(pair[0])
-    u2, f2 = _factor_rec(pair[1])
-    return u1 * u2, f1 + f2
+def _irreducible(a: Element) -> tuple[Element, list[Element]]:
+    canonical, u = a.canonical_associate()
+    return u.inverse(), [canonical]
+
+
+def _factor_elliptic(a: Element) -> tuple[Element, list[Element]]:
+    if is_irreducible(a):
+        return _irreducible(a)
+    rest, factors = a, []
+    for p, e in int_factor(a.eta_plus)[1]:
+        primes = [c.canonical_associate()[0] for c in _gaussian_primes(a.kind, p)]
+        for _ in range(e // 2 if p % 4 == 3 else e):  # p ≡ 3 (mod 4) has norm p²
+            for c in primes:
+                q = divides(c, rest)
+                if q is not None:
+                    break
+            else:
+                raise FactorWitnessError(f"no Gaussian prime over {p} divides {rest}")
+            factors.append(c)
+            rest = q
+    if not rest.is_unit():
+        raise FactorWitnessError(f"{a} leaves the non-unit {rest} after its norm's primes")
+    return rest, factors
+
+
+def _factor_hyperbolic(a: Element) -> tuple[Element, list[Element]]:
+    if is_irreducible(a):
+        return _irreducible(a)
+    u, v, peeled = _hyperbolic_peel(a)
+    unit = from_diagonal_coords(1 if u > 0 else -1, 1 if v > 0 else -1)
+    return unit, [from_diagonal_coords(fu, fv) for fu, fv in peeled]
+
+
+def _factor_parabolic(a: Element) -> tuple[Element, list[Element]]:
+    kind = a.kind
+    if a.x == 0:  # ky = y * k
+        if abs(a.y) == 1:
+            return _irreducible(a)
+        unit, factors = _factor_parabolic(_mk(kind, a.y, 0))
+        return unit, [*factors, _mk(kind, 0, 1)]
+    sign = 1 if a.x > 0 else -1
+    x, y = sign * a.x, sign * a.y
+    factors, y_product = [], 0
+    for p, g in int_factor(x)[1]:
+        m = p**g
+        r = _parabolic_residue(x, y, m)
+        y_product += r * (x // m)  # the piece m + kr contributes r·x/m to the product's k part
+        # p^(g-c) + k·r/p^c stays reducible while g-c >= 2 and p | r/p^c
+        copies = 0
+        while copies < g - 1 and r % p == 0:
+            r //= p
+            copies += 1
+        factors += [_mk(kind, p, 0)] * copies
+        factors.append(_mk(kind, p ** (g - copies), r))
+    # a = (sign + kt)(x + k·y_product)
+    t, rem = divmod(a.y - sign * y_product, x)
+    if rem:
+        raise FactorWitnessError(f"the pieces of {a} multiply to {x}+{y_product}k, not an associate")
+    return _mk(kind, sign, t), factors
+
+
+_FACTOR = {
+    RingKind.ELLIPTIC: _factor_elliptic,
+    RingKind.HYPERBOLIC: _factor_hyperbolic,
+    RingKind.PARABOLIC: _factor_parabolic,
+}
 
 
 def factor(a: Element) -> Factorization:
     """Factorization into irreducibles, deterministic up to the stated ordering."""
     _check_splittable(a)
-    extension = a.kind is RingKind.PARABOLIC and a.eta == 0
-    unit, factors = _factor_rec(a)
+    unit, factors = _FACTOR[a.kind](a)
     factors.sort(key=lambda f: (f.eta_plus, f.x, f.y))
-    return Factorization(unit, tuple(factors), extension)
+    return Factorization(unit, tuple(factors), a.kind is RingKind.PARABOLIC and a.eta == 0)
 
 
 __all__ = [

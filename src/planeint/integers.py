@@ -7,7 +7,7 @@ representations of ordinary integers.  Nothing here knows about the rings;
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 
 _TRIAL_OFFSETS = (4, 2, 4, 2, 4, 6, 2, 6)  # wheel mod 30 after 2, 3, 5
 
@@ -220,23 +220,24 @@ def diff_two_squares(n: int) -> tuple[int, int] | None:
     """Minimal-r representation ``n = r² - s²`` for n >= 1, or None.
 
     No representation exists exactly when the exponent of 2 in n is 1.
-    For representable n a witness exists with ``r <= n//2 + 1`` (odd n split
-    as consecutive squares, multiples of 4 as ``(n/4+1)² - (n/4-1)²``), so
-    the upward search from ``⌈√n⌉`` terminates.
+    Otherwise ``n = d·e`` with ``d = r - s <= e = r + s`` of equal parity, and
+    r = (d + e)/2 is least for the d closest to √n.  For odd n, d runs over
+    the divisors of n; for n divisible by 4, d = 2d' and e = 2e' with
+    d'·e' = n/4.  The divisors come from :func:`int_factor`, so the cost is
+    one factorization of n.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if two_adic_valuation(n) == 1:
+    v = two_adic_valuation(n)
+    if v == 1:
         return None
-    r = isqrt(n - 1) + 1 if n > 1 else 1
-    bound = n // 2 + 1  # the odd / divisible-by-4 constructions stay below this
-    while r <= bound:
-        rest = r * r - n
-        s = isqrt(rest)
-        if s * s == rest:
-            return r, s
-        r += 1
-    raise AssertionError("representable n must have a witness within the bound")
+    m = n if v == 0 else n >> 2
+    divisors = [1]
+    for p, e in int_factor(m)[1]:
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    d = max(d for d in divisors if d * d <= m)
+    e = m // d
+    return ((d + e) // 2, (e - d) // 2) if v == 0 else (e + d, e - d)
 
 
 __all__ = [

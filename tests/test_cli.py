@@ -151,6 +151,24 @@ class TestCommands:
         rc, out, _ = run(capsys, "classify-poly", "1/2", "0", "-3/4")
         assert rc == 0 and "hyperbolic" in out
 
+    @pytest.mark.parametrize("coefficients", [("a", "1", "1"), ("1", "1/0", "1"), ("1", "0", "x")])
+    def test_classify_poly_bad_coefficient_is_parse_error(self, capsys, coefficients):
+        bad = next(c for c in coefficients if c not in ("0", "1"))
+        for flags in ([], ["--json"]):
+            rc, out, err = run(capsys, *flags, "classify-poly", *coefficients)
+            assert (rc, out, err) == (2, "", f"error: cannot parse coefficient {bad!r}\n")
+
+    def test_minus_unit_literals_are_elements(self, capsys):
+        rc, out, _ = run(capsys, "classify", "-j")
+        assert rc == 0 and out.startswith("element        -1j\n") and "unit           yes" in out
+        rc, out, err = run(capsys, "factor", "-i", "--ring", "i")
+        assert (rc, out, err) == (1, "", "error: units cannot be factored\n")
+        rc, out, _ = run(capsys, "--json", "norm", "-k")
+        assert rc == 0 and json.loads(out)["element"] == {"ring": "k", "x": "0", "y": "-1", "text": "-1k"}
+        with pytest.raises(SystemExit) as info:
+            run(capsys, "classify", "-h")
+        assert info.value.code == 0 and "usage: planeint classify" in capsys.readouterr().out
+
     def test_exp_pow(self, capsys):
         rc, out, _ = run(capsys, "--json", "exp", "0", "3", "--ring", "k")
         data = json.loads(out)

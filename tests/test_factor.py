@@ -1,11 +1,15 @@
 import importlib
 import random
+import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 import sympy
 
+import planeint
 import planeint.integers as kernel
+from _factor_referee import referee_factor, referee_split
 from planeint import (
     Element,
     RingKind,
@@ -23,8 +27,12 @@ from planeint import (
     sum_two_squares,
     two_adic_valuation,
 )
+from planeint.factor import FactorWitnessError
 
 H, K, C = hyperbolic, parabolic, elliptic
+# the names planeint.factor and planeint.classify are the functions, not the modules
+FACTOR_MODULE = sys.modules["planeint.factor"]
+CLASSIFY_MODULE = sys.modules["planeint.classify"]
 
 
 class TestIntegerHelpers:
@@ -276,6 +284,200 @@ class TestFactor:
             assert f.product() == z
 
 
+def _splittable(z):
+    return z and not z.is_unit() and not (z.kind is RingKind.HYPERBOLIC and z.eta == 0)
+
+
+def _result(f):
+    return f.unit, f.factors, f.axis_extension
+
+
+def _over(primes):
+    """``int_factor`` for integers whose prime factors all lie in primes."""
+
+    def factorize(n):
+        sign, n, out = (-1 if n < 0 else 1), abs(n), []
+        for p in sorted(set(primes)):
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                out.append((p, e))
+        if n != 1:
+            raise ValueError(f"{n} has a prime factor outside the known list")
+        return sign, out
+
+    return factorize
+
+
+def _known_prime_products(kind, count):
+    """Seeded elements made from 2-10 known primes of 8-40 bits, their product within 200 bits.
+
+    Primes repeat, and 2, 3, 5, 7 and 13 are mixed in, so that prime powers,
+    the even part of a hyperbolic element and both Gaussian primes over one
+    p are reached.
+    """
+    rng = random.Random(f"products-{kind.symbol}")
+    cases = []
+    for _ in range(count):
+        primes, bits = [], 0
+        for _ in range(rng.randint(2, 10)):
+            roll = rng.random()
+            if primes and roll < 0.2:
+                p = rng.choice(primes)
+            elif roll < 0.4:
+                p = rng.choice((2, 3, 5, 7, 13))
+            else:
+                lo = 1 << (rng.randint(8, 40) - 1)
+                p = sympy.nextprime(rng.randrange(lo, lo + lo // 2))
+            if bits + p.bit_length() > 200:
+                break
+            primes.append(p)
+            bits += p.bit_length()
+        if kind is RingKind.ELLIPTIC:
+            z = C(*rng.choice(((1, 0), (0, 1), (-1, 0), (0, -1))))
+            for p in primes:
+                a, b = sum_two_squares(p) or (p, 0)
+                z = z * C(a, rng.choice((b, -b)))
+        elif kind is RingKind.HYPERBOLIC:
+            uv = [rng.choice((1, -1)), rng.choice((1, -1))]
+            for p in primes:
+                uv[rng.randrange(2)] *= p
+            u, v = uv
+            if (u - v) % 2:  # a ring point needs u ≡ v (mod 2)
+                u, v = (2 * u, v) if u % 2 else (u, 2 * v)
+                primes.append(2)
+            z = H((u + v) // 2, (u - v) // 2)
+        else:
+            x = rng.choice((1, -1))
+            for p in primes:
+                x *= p
+            y = rng.randrange(-abs(x), abs(x)) * rng.choice(primes) ** rng.randint(0, 3)
+            z = K(0, x) if rng.random() < 0.1 else K(x, 0 if rng.random() < 0.1 else y)
+        cases.append((z, primes))
+    return cases
+
+
+def _bignorm_inputs(seed):
+    """The elements of the benchmark's bignorm workload for one seed, keyed as there."""
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    return {key: z for key, (_, _, z) in workloads.Bignorm(planeint, seed).inputs.items()}
+
+
+class TestFactorMatchesRecursion:
+    """factor and split give exactly what the per-level recursion in _factor_referee gives."""
+
+    def test_box(self):
+        for kind in RingKind:
+            for x in range(-40, 41):
+                for y in range(-40, 41):
+                    z = Element(kind, x, y)
+                    if _splittable(z):
+                        assert _result(factor(z)) == referee_factor(z), z
+                        assert split(z) == referee_split(z), z
+
+    @pytest.mark.parametrize("kind", list(RingKind))
+    def test_known_prime_products(self, kind, monkeypatch):
+        # both sides factor over the known primes: norms near 2^200 need no rho
+        for z, primes in _known_prime_products(kind, 40):
+            known = _over(primes)
+            monkeypatch.setattr(FACTOR_MODULE, "int_factor", known)
+            assert _result(factor(z)) == referee_factor(z, known), z
+            assert split(z) == referee_split(z, known), z
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_bignorm_inputs(self, seed):
+        for key, z in _bignorm_inputs(seed).items():
+            assert _result(factor(z)) == referee_factor(z), key
+            assert split(z) == referee_split(z), key
+
+
+class TestFactorCost:
+    def test_one_factorization_of_the_norm(self, monkeypatch):
+        calls = {"int_factor": [], "sum_two_squares": []}
+
+        def counted(name, fn):
+            def wrapper(n):
+                calls[name].append(n)
+                return fn(n)
+
+            return wrapper
+
+        monkeypatch.setattr(FACTOR_MODULE, "sum_two_squares", counted("sum_two_squares", sum_two_squares))
+        cases = [(z, int_factor) for z in _bignorm_inputs(1).values()]
+        cases += [(Element(kind, x, y), int_factor) for kind in RingKind for x in range(-12, 13) for y in range(-12, 13)]
+        cases += [(z, _over(primes)) for kind in RingKind for z, primes in _known_prime_products(kind, 10)]
+        for z, kernel_factor in cases:
+            if not _splittable(z):
+                continue
+            for module in (FACTOR_MODULE, CLASSIFY_MODULE):
+                monkeypatch.setattr(module, "int_factor", counted("int_factor", kernel_factor))
+            for seen in calls.values():
+                seen.clear()
+            factor(z)
+            assert len(calls["int_factor"]) <= (2 if z.kind is RingKind.HYPERBOLIC else 1), (z, calls)
+            primes = calls["sum_two_squares"]
+            assert len(primes) == len(set(primes)) and all(p % 4 == 1 for p in primes), (z, calls)
+
+
+class TestWitnessChecks:
+    """A factor that fails its check raises FactorWitnessError, also under ``python -O``."""
+
+    def test_error_type(self):
+        assert issubclass(FactorWitnessError, planeint.RingError)
+        assert "FactorWitnessError" not in planeint.__all__
+
+    def test_elliptic_divisor(self, monkeypatch):
+        monkeypatch.setattr(FACTOR_MODULE, "divides", lambda b, a: None)
+        with pytest.raises(FactorWitnessError, match="divides"):
+            factor(C(5, 0))
+        with pytest.raises(FactorWitnessError, match="divides"):
+            split(C(5, 0))
+
+    def test_elliptic_cofactor_is_a_unit(self, monkeypatch):
+        # a factorization of the norm 100 that leaves out 2
+        monkeypatch.setattr(FACTOR_MODULE, "int_factor", lambda n: (1, [(5, 2)]))
+        with pytest.raises(FactorWitnessError, match="non-unit"):
+            factor(C(10, 0))
+
+    def test_parabolic_pieces(self, monkeypatch):
+        monkeypatch.setattr(FACTOR_MODULE, "_parabolic_residue", lambda x, y, m: 0)
+        with pytest.raises(FactorWitnessError, match="not an associate"):
+            factor(K(6, 5))
+
+
+def _scan_diff_two_squares(n):
+    """The upward scan r = ⌈√n⌉, ⌈√n⌉+1, ... that diff_two_squares once ran: O(n) steps for a prime."""
+    if two_adic_valuation(n) == 1:
+        return None
+    r = isqrt(n - 1) + 1 if n > 1 else 1
+    while True:
+        rest = r * r - n
+        s = isqrt(rest)
+        if s * s == rest:
+            return r, s
+        r += 1
+
+
+def _scan_table(limit):
+    """The same scan for every n < limit at once: r ascends, so the first (r, s) to reach n has the least r."""
+    table = {}
+    r = 1
+    while 2 * r - 1 < limit:  # 2r - 1 = r² - (r-1)² is the least n with this r
+        s = r - 1
+        while s >= 0 and r * r - s * s < limit:
+            table.setdefault(r * r - s * s, (r, s))
+            s -= 1
+        r += 1
+    return table
+
+
 class TestTwoSquares:
     def test_diff_examples(self):
         assert diff_two_squares(8) == (3, 1)
@@ -325,3 +527,23 @@ class TestTwoSquares:
             if rs:
                 a, b = rs
                 assert a * a + b * b == p
+
+    def test_diff_matches_the_scan(self):
+        table = _scan_table(10**5)
+        for n in range(1, 3000):
+            assert table.get(n) == _scan_diff_two_squares(n), n
+        for n in range(1, 10**5):
+            assert diff_two_squares(n) == table.get(n), n
+
+    def test_diff_matches_sympy_divisors(self):
+        rng = random.Random(25)
+        inputs = [rng.getrandbits(rng.randint(2, 64)) or 1 for _ in range(300)]
+        inputs += [sympy.nextprime(rng.getrandbits(bits)) for bits in (30, 40, 63)]
+        for n in inputs:
+            if two_adic_valuation(n) == 1:
+                assert diff_two_squares(n) is None, n
+                continue
+            # n = d·e, d <= e of equal parity, with d the largest such divisor
+            d = max(d for d in sympy.divisors(n) if d * d <= n and (n // d - d) % 2 == 0)
+            e = n // d
+            assert diff_two_squares(n) == ((d + e) // 2, (e - d) // 2), n
