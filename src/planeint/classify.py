@@ -21,7 +21,14 @@ Each ring's rule is stated once, in ``_verdict``; :func:`is_prime`,
 :func:`is_irreducible`, :func:`classify`, :func:`prime_integer_behavior` and
 :func:`planeint.factor.split` all read their answer from it.  The parabolic
 rule off the axis is ``_parabolic_irreducible``, which ``split`` also calls
-with the factorization of x that its witness needs anyway.
+with the prime power it reads from the factorization of x that its witness
+needs anyway.
+
+Cost model: a Gaussian or hyperbolic verdict makes one primality test, of
+the norm (of the integer on the Gaussian axes).  A parabolic verdict never
+factors x: ``_prime_power`` strips the primes below 2¹² with one gcd, makes
+one primality test of what is left, and tries a few exact integer roots
+only when that is composite.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Classification, Element, RingKind
-from .integers import int_factor, is_prime_int, sum_two_squares
+from .integers import _prime_power, is_prime_int, sum_two_squares
 
 
 @dataclass(frozen=True)
@@ -50,11 +57,11 @@ class IrreducibleForm:
         return Element(RingKind.HYPERBOLIC, half + 1, self.sign_y * (half - 1))
 
 
-def _parabolic_irreducible(x_primes: list[tuple[int, int]], y: int) -> bool:
-    """Irreducibility of ``x + ky`` (x != 0) from the prime factorization of x."""
-    if len(x_primes) != 1:
+def _parabolic_irreducible(x_power: tuple[int, int] | None, y: int) -> bool:
+    """Irreducibility of ``x + ky`` (x != 0) from ``(p, g)`` with ``|x| = p^g``, or None if there is none."""
+    if x_power is None:
         return False
-    p, g = x_primes[0]
+    p, g = x_power
     return g == 1 or y % p != 0
 
 
@@ -63,7 +70,7 @@ def _verdict(z: Element) -> tuple[bool, bool]:
     if z.kind is RingKind.PARABOLIC:
         if z.x == 0:
             return abs(z.y) == 1, abs(z.y) == 1
-        return False, _parabolic_irreducible(int_factor(z.x)[1], z.y)
+        return False, _parabolic_irreducible(_prime_power(abs(z.x)), z.y)
     ep = z.eta_plus
     if z.kind is RingKind.HYPERBOLIC:
         if ep == 0:

@@ -74,12 +74,19 @@ def parse_element(text: str, ring_hint: RingKind | None = None) -> Element:
     raise ElementParseError(f"cannot parse element {text!r} (at position {pos})", pos)
 
 
+# main lifts the interpreter's int/str digit limit (Python 3.10.7 and later),
+# so that a norm of about twice a literal's digits still prints; literals keep
+# the limit main found on entry, which it holds here until it returns
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+_entry_limit: int | None = None
+
+
 def _int(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # the regex admits only digits: this is the int/str digit limit
-        limit = sys.get_int_max_str_digits()
-        raise ElementParseError(f"a coordinate has more than {limit} digits") from None
+    limit = _get_digit_limit() if _entry_limit is None else _entry_limit
+    if limit and len(digits.lstrip("+-")) > limit:  # the regex admits only a sign and digits
+        raise ElementParseError(f"a coordinate has more than {limit} digits")
+    return int(digits)
 
 
 def _with_hint(z: Element, hint: RingKind | None, text: str) -> Element:
@@ -421,7 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    global _entry_limit
     args = build_parser().parse_args(argv)
+    _entry_limit = limit = _get_digit_limit()
+    _set_digit_limit(0)
     try:
         payload, render = args.func(args)
         out = json.dumps(payload, default=_elt_json) + "\n" if args.json else render(payload, args.color)
@@ -429,6 +439,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ElementParseError, RingError, ValueError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ElementParseError) else 1
+    finally:
+        _set_digit_limit(limit)
+        _entry_limit = None
     return 0
 
 

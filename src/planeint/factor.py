@@ -146,7 +146,8 @@ def split(a: Element) -> tuple[Element, Element] | None:
     if a.kind is RingKind.PARABOLIC and a.x:
         # the verdict and the witness read the same factorization of x
         x_primes = int_factor(a.x)[1]
-        return None if _parabolic_irreducible(x_primes, a.y) else _split_parabolic(a, x_primes)
+        x_power = x_primes[0] if len(x_primes) == 1 else None
+        return None if _parabolic_irreducible(x_power, a.y) else _split_parabolic(a, x_primes)
     if is_irreducible(a):
         return None
     if a.kind is RingKind.HYPERBOLIC:

@@ -7,17 +7,37 @@ representations of ordinary integers.  Nothing here knows about the rings;
 
 from __future__ import annotations
 
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt, prod
 
 _TRIAL_OFFSETS = (4, 2, 4, 2, 4, 6, 2, 6)  # wheel mod 30 after 2, 3, 5
 
 # Below this, primality and factoring are plain trial division, whose divisors
-# stay below 2⁸; above it, Miller–Rabin and Pollard–Brent rho take over.
+# stay below 2⁸; above it, Miller–Rabin, a small-prime gcd and Pollard–Brent
+# rho take over.
 _CROSSOVER = 1 << 16
-_WHEEL_END = 1 << 8  # √_CROSSOVER
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
-             43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)  # the primes below 100
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below an even n > 2, by the sieve of Eratosthenes on the odd numbers."""
+    sieve = bytearray([0]) + bytearray([1]) * (n // 2 - 1)  # sieve[i] stands for 2i + 1
+    for i in range(1, (isqrt(n) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, n // 2, p)))
+    return (2, *compress(range(1, n, 2), sieve))
+
+
+# Above the crossover, one gcd with the product of the primes below 2¹² finds
+# every small prime of n at once; a cofactor free of them is prime below 2²⁴.
+_SMALL_PRIMES = _primes_below(1 << 12)
+_SMALL_CHUNKS = tuple(  # 32 primes each, to say which small primes a gcd holds
+    (_SMALL_PRIMES[i : i + 32], prod(_SMALL_PRIMES[i : i + 32])) for i in range(0, len(_SMALL_PRIMES), 32)
+)
+_SMALL_PRODUCT = prod(chunk_product for _, chunk_product in _SMALL_CHUNKS)
+_SMOOTH_PRIME_END = 1 << 24  # (2¹²)²
+
+_MR_BASES = _SMALL_PRIMES[:25]  # the primes below 100
 
 # (psi_k, k): every odd composite n < psi_k fails the strong test to one of the
 # first k prime bases (Jaeschke 1993; Sorenson & Webster 2015).  psi_1 = 2047
@@ -88,7 +108,7 @@ def is_prime_int(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
-    """A proper divisor of an odd composite n with no prime factor below 2⁸.
+    """A proper divisor of an odd composite n with no prime factor below 2¹².
 
     Pollard's rho with Brent's cycle detection (Brent 1980): the walk
     y -> y² + c starts at 2 with c = 1, and c moves on to 2, 3, ... only when a
@@ -120,47 +140,107 @@ def _brent_rho(n: int) -> int:
         c += 1
 
 
-def int_factor(n: int) -> tuple[int, list[tuple[int, int]]]:
-    """Sign and prime factorization of a nonzero integer, primes ascending, exponents collected.
-
-    Trial division strips the primes below 2⁸, which factors every n < 2¹⁶
-    completely; a cofactor left over is split by Pollard–Brent rho until each
-    piece passes :func:`is_prime_int`.  The cost grows with the square root
-    of the second-largest prime factor, so balanced semiprimes far above 64
-    bits stay slow.
-    """
-    if n == 0:
-        raise ValueError("0 has no factorization")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out: list[tuple[int, int]] = []
-    for p in (2, 3, 5):
+def _trial_division(n: int):
+    """``(p, e, rest)`` for each prime power p^e of 1 <= n < 2¹⁶, ascending; rest is n without them so far."""
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
-            out.append((p, e))
-    f = 7
-    i = 0
-    while f * f <= n and f < _WHEEL_END:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            out.append((f, e))
-        f += _TRIAL_OFFSETS[i]
-        i = (i + 1) % 8
-    if n < f * f:  # n has no prime factor below f, so it is 1 or a prime
-        if n > 1:
-            out.append((n, 1))
-        return sign, out
+            yield p, e, n
+    if n > 1:  # no prime up to √n divides it
+        yield n, 1, 1
+
+
+def _strip_small(n: int) -> tuple[list[tuple[int, int]], int]:
+    """The prime powers of n > 0 with primes below 2¹², ascending, and n without them.
+
+    One gcd with the product of those primes decides whether any divides n;
+    only then do per-chunk gcds and single divisions say which.
+    """
+    out = []
+    g = gcd(n, _SMALL_PRODUCT)
+    for chunk, chunk_product in _SMALL_CHUNKS:
+        if g == 1:
+            break
+        h = gcd(g, chunk_product)  # the product of n's primes in this chunk
+        g //= h
+        for p in chunk:
+            if h == 1:
+                break
+            if h % p == 0:
+                h //= p
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                out.append((p, e))
+    return out, n
+
+
+def _iroot(m: int, k: int) -> int:
+    """⌊m^(1/k)⌋ for m >= 1, by Newton's method from above."""
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _prime_power(n: int) -> tuple[int, int] | None:
+    """``(p, g)`` with ``n = p^g`` for a prime p, or None; n >= 2.
+
+    n is never factored.  Below 2¹⁶, trial division stops at the first prime.
+    Above, the small-prime stage either finds n's only prime below 2¹² or
+    leaves a cofactor with none: one below 2²⁴ is prime, a larger one needs one
+    :func:`is_prime_int`.  A composite p^g with p > 2¹² has g <= log₄₀₉₆ n, so
+    only the exact k-th roots for primes k up to that bound are tried.
+    """
+    if n < _CROSSOVER:
+        p, g, rest = next(_trial_division(n))
+        return (p, g) if rest == 1 else None
+    small, m = _strip_small(n)
+    if small:
+        return small[0] if m == 1 and len(small) == 1 else None
+    if m < _SMOOTH_PRIME_END or is_prime_int(m):
+        return m, 1
+    for k in _SMALL_PRIMES:
+        if k > m.bit_length() // 12:
+            break
+        r = isqrt(m) if k == 2 else _iroot(m, k)
+        if r**k == m:
+            root = _prime_power(r)
+            return root and (root[0], root[1] * k)
+    return None
+
+
+def int_factor(n: int) -> tuple[int, list[tuple[int, int]]]:
+    """Sign and prime factorization of a nonzero integer, primes ascending, exponents collected.
+
+    Below 2¹⁶ this is trial division by the primes below 2⁸.  Above, the
+    small-prime stage strips every prime below 2¹² with one gcd (and, only
+    when that gcd is above 1, a few more to say which); a cofactor left over
+    is split by Pollard–Brent rho until each piece is below 2²⁴ or passes
+    :func:`is_prime_int`.  The cost grows with the square root of the
+    second-largest prime factor, so balanced semiprimes far above 64 bits
+    stay slow.
+    """
+    if n == 0:
+        raise ValueError("0 has no factorization")
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    if n < _CROSSOVER:
+        return sign, [(p, e) for p, e, _ in _trial_division(n)]
+    out, n = _strip_small(n)
     counts: dict[int, int] = {}
-    pending = [n]
+    pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
-        if m < f * f or is_prime_int(m):  # the pieces keep n's lack of factors below f
+        if m < _SMOOTH_PRIME_END or is_prime_int(m):  # the pieces keep n's lack of primes below 2¹²
             counts[m] = counts.get(m, 0) + 1
         else:
             d = _brent_rho(m)
@@ -209,11 +289,7 @@ def two_adic_valuation(n: int) -> int:
     """Exponent of 2 in a nonzero n."""
     if n == 0:
         raise ValueError("0 has no 2-adic valuation")
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
+    return (n & -n).bit_length() - 1
 
 
 def diff_two_squares(n: int) -> tuple[int, int] | None:

@@ -10,10 +10,54 @@ have more than one factorization.
 ``int_factor`` is a parameter so that tests on products of known primes can
 hand the recursion a factorizer over those primes instead of running rho at
 every level.
+
+``wheel_int_factor`` is ``int_factor`` as it was before the small-prime gcd
+stage: trial division on the wheel mod 30 up to 2⁸, then the same rho walks.
 """
 
-from planeint import Element, RingKind, divides, int_factor, is_irreducible, sum_two_squares
-from planeint.classify import _parabolic_irreducible
+from planeint import Element, RingKind, divides, int_factor, is_irreducible, is_prime_int, sum_two_squares
+from planeint.integers import _brent_rho
+
+
+def wheel_int_factor(n):
+    """Sign and prime factorization: 2, 3, 5 and the wheel mod 30 to 2⁸, then Pollard–Brent rho."""
+    sign, n, out = (-1 if n < 0 else 1), abs(n), []
+    for p in (2, 3, 5):
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+    f, i = 7, 0
+    while f * f <= n and f < 256:
+        if n % f == 0:
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            out.append((f, e))
+        f += (4, 2, 4, 2, 4, 6, 2, 6)[i]
+        i = (i + 1) % 8
+    if n < f * f:
+        return sign, out + ([(n, 1)] if n > 1 else [])
+    counts, pending = {}, [n]
+    while pending:
+        m = pending.pop()
+        if m < f * f or is_prime_int(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _brent_rho(m)
+            pending += (d, m // d)
+    return sign, out + sorted(counts.items())
+
+
+def _parabolic_irreducible(x_primes, y):
+    """The parabolic rule read from the whole factorization of x: x is p, or p^g with p not dividing y."""
+    if len(x_primes) != 1:
+        return False
+    p, g = x_primes[0]
+    return g == 1 or y % p != 0
 
 
 def _split_hyperbolic(a, int_factor):

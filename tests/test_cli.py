@@ -233,6 +233,56 @@ class TestOverLongLiteral:
         assert (rc, out, err) == (2, "", f"error: a coordinate has more than {limit} digits\n")
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int/str digit limit"
+)
+class TestLongLiteralNorms:
+    """A literal within the digit limit whose norm is past it still prints; main restores the limit."""
+
+    LITERAL = "9" * 3000 + "+1i"  # both coordinates odd: an even norm, decided at once
+
+    @staticmethod
+    def norm_text():
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str((10**3000 - 1) ** 2 + 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    @pytest.mark.parametrize("command", ["norm", "classify"])
+    def test_prints_the_norm(self, capsys, command, flags):
+        limit = sys.get_int_max_str_digits()
+        eta = self.norm_text()
+        assert len(eta) > limit
+        rc, out, err = run(capsys, *flags, command, self.LITERAL)
+        assert (rc, err) == (0, "")
+        assert eta in out
+        if flags:
+            assert json.loads(out)["eta"] == eta
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_limit_restored_after_errors(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        rc, _, err = run(capsys, "classify", "7" * (limit + 1) + "+1i")
+        assert rc == 2 and f"more than {limit} digits" in err
+        assert sys.get_int_max_str_digits() == limit
+        rc, _, _ = run(capsys, "divmod", "5+3j", "2+2j")
+        assert rc == 1
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_literals_keep_the_limit_found_on_entry(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(2500)
+        try:
+            rc, out, err = run(capsys, "norm", self.LITERAL)
+            assert (rc, out, err) == (2, "", "error: a coordinate has more than 2500 digits\n")
+            assert sys.get_int_max_str_digits() == 2500
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 CLI_EXPECTED = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "cli_expected.json").read_text()
 )

@@ -1,15 +1,17 @@
 import importlib
 import random
 import sys
-from math import isqrt
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planeint
 import planeint.integers as kernel
-from _factor_referee import referee_factor, referee_split
+from _factor_referee import _parabolic_irreducible, referee_factor, referee_split, wheel_int_factor
 from planeint import (
     Element,
     RingKind,
@@ -28,6 +30,7 @@ from planeint import (
     two_adic_valuation,
 )
 from planeint.factor import FactorWitnessError
+from planeint.integers import _prime_power
 
 H, K, C = hyperbolic, parabolic, elliptic
 # the names planeint.factor and planeint.classify are the functions, not the modules
@@ -161,6 +164,81 @@ class TestIntegerKernel:
                 assert a * a + b * b == p and a >= b > 0, p
 
 
+def _trial_prime_power(n):
+    """Reference: the least divisor d >= 2 of n by trial division, then whether n is a power of d."""
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    g = 0
+    while n % p == 0:
+        n //= p
+        g += 1
+    return (p, g) if n == 1 else None
+
+
+# primes on either side of 2⁸, 2¹² (the small-prime stage), 2¹⁶ (the crossover) and 2²⁴
+BOUNDARY_PRIMES = tuple(
+    q for b in (8, 12, 16, 24) for q in (sympy.prevprime(2**b), sympy.nextprime(2**b))
+)
+
+
+class TestPrimePower:
+    """``_prime_power`` decides n = p^g without factoring n."""
+
+    def test_matches_trial_division(self):
+        for n in range(2, 2 * 10**5):
+            assert _prime_power(n) == _trial_prime_power(n), n
+
+    def test_powers_of_primes_near_the_stage_bounds(self):
+        others = (3, 4091, 4099, 65537, 1000003, 2**61 - 1)
+        for b in (8, 12, 16, 32, 64):
+            for p in (sympy.prevprime(2**b), sympy.nextprime(2**b)):
+                for g in range(1, 13):
+                    assert _prime_power(p**g) == (p, g), (p, g)
+                    for q in others:
+                        if q != p:
+                            assert _prime_power(p**g * q) is None, (p, g, q)
+                    assert _prime_power(p**g * p) == (p, g + 1), (p, g)
+
+    def test_powers_of_products_and_smooth_squares(self):
+        rng = random.Random(31)
+        for p in BOUNDARY_PRIMES:
+            for q in BOUNDARY_PRIMES:
+                for k in range(1, 7):
+                    if p != q:
+                        assert _prime_power((p * q) ** k) is None, (p, q, k)
+        small = [p for p in range(2, 2**12) if sympy.isprime(p)]
+        for _ in range(300):
+            s = prod(rng.sample(small, rng.randint(1, 6)))
+            expected = (s, 2) if sympy.isprime(s) else None
+            assert _prime_power(s * s) == expected, s
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from((2, 3, 5, 7) + BOUNDARY_PRIMES), st.integers(1, 5)), min_size=1,
+                    max_size=4))
+    def test_products_of_prime_powers(self, powers):
+        exponents = {}
+        for p, e in powers:
+            exponents[p] = exponents.get(p, 0) + e
+        n = prod(p**e for p, e in exponents.items())
+        assert int_factor(n) == (1, sorted(exponents.items()))
+        assert _prime_power(n) == (next(iter(exponents.items())) if len(exponents) == 1 else None)
+
+
+class TestIntFactorMatchesWheel:
+    """``int_factor`` with the small-prime gcd stage gives what the trial-division wheel gave."""
+
+    def test_every_n_below_2_17(self):
+        for n in range(1, 2**17):
+            assert int_factor(n) == wheel_int_factor(n), n
+
+    def test_products_straddling_the_stage_bounds(self):
+        rng = random.Random(32)
+        primes = (2, 3, 5, 7, 251, 4093, 4099) + BOUNDARY_PRIMES
+        for _ in range(400):
+            n = prod(rng.choice(primes) ** rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+            assert int_factor(n) == wheel_int_factor(n) == (1, sorted(sympy.factorint(n).items())), n
+            assert int_factor(-n) == wheel_int_factor(-n), n
+
+
 class TestSplit:
     def test_examples(self):
         assert split(H(8, 0)) == (H(2, 0), H(4, 0))
@@ -185,8 +263,8 @@ class TestSplit:
             calls.append(n)
             return int_factor(n)
 
-        for module in ("planeint.classify", "planeint.factor"):
-            monkeypatch.setattr(importlib.import_module(module), "int_factor", counting)
+        # the parabolic verdict never factors x, so planeint.factor holds the only call
+        monkeypatch.setattr(FACTOR_MODULE, "int_factor", counting)
         for z in (K(6, 5), K(-6, 5), K(9, 3), K(9, 1)):
             calls.clear()
             split(z)
@@ -416,14 +494,52 @@ class TestFactorCost:
         for z, kernel_factor in cases:
             if not _splittable(z):
                 continue
-            for module in (FACTOR_MODULE, CLASSIFY_MODULE):
-                monkeypatch.setattr(module, "int_factor", counted("int_factor", kernel_factor))
+            monkeypatch.setattr(FACTOR_MODULE, "int_factor", counted("int_factor", kernel_factor))
             for seen in calls.values():
                 seen.clear()
             factor(z)
             assert len(calls["int_factor"]) <= (2 if z.kind is RingKind.HYPERBOLIC else 1), (z, calls)
             primes = calls["sum_two_squares"]
             assert len(primes) == len(set(primes)) and all(p % 4 == 1 for p in primes), (z, calls)
+
+
+class TestParabolicVerdictCost:
+    """A parabolic verdict reads whether x is a prime power; it never factors x."""
+
+    @staticmethod
+    def _parabolic_inputs():
+        cases = [z for seed in (1, 7) for z in _bignorm_inputs(seed).values() if z.kind is RingKind.PARABOLIC]
+        cases += [K(x, y) for x in range(-40, 41) for y in range(-40, 41)]
+        return [z for z in cases if z and not z.is_unit()]
+
+    def test_no_factoring_and_one_primality_test(self, monkeypatch):
+        calls = {"int_factor": 0, "_brent_rho": 0, "is_prime_int": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for module, name in [(kernel, "int_factor"), (FACTOR_MODULE, "int_factor"), (kernel, "_brent_rho"),
+                             (kernel, "is_prime_int"), (CLASSIFY_MODULE, "is_prime_int")]:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        tested = 0
+        for z in self._parabolic_inputs():
+            for name in calls:
+                calls[name] = 0
+            planeint.classify(z)
+            assert calls["int_factor"] == calls["_brent_rho"] == 0, (z, calls)
+            assert calls["is_prime_int"] <= 1, (z, calls)
+            tested += calls["is_prime_int"]
+        assert tested > 0  # the counters see the kernel's calls
+
+    def test_verdict_matches_the_factorization_rule(self):
+        for z in self._parabolic_inputs():
+            c = planeint.classify(z)
+            irreducible = z.x == 0 and abs(z.y) == 1 or z.x != 0 and _parabolic_irreducible(int_factor(z.x)[1], z.y)
+            assert (c.is_prime, c.is_irreducible) == (z.x == 0 and abs(z.y) == 1, irreducible), z
 
 
 class TestWitnessChecks:
