@@ -19,10 +19,7 @@ Highlights of the landscape these rules encode:
 
 Each ring's rule is stated once, in ``_verdict``; :func:`is_prime`,
 :func:`is_irreducible`, :func:`classify`, :func:`prime_integer_behavior` and
-:func:`planeint.factor.split` all read their answer from it.  The parabolic
-rule off the axis is ``_parabolic_irreducible``, which ``split`` also calls
-with the prime power it reads from the factorization of x that its witness
-needs anyway.
+:func:`planeint.factor.split` all read their answer from it.
 
 Cost model: a Gaussian or hyperbolic verdict makes one primality test, of
 the norm (of the integer on the Gaussian axes).  A parabolic verdict never
@@ -57,20 +54,14 @@ class IrreducibleForm:
         return Element(RingKind.HYPERBOLIC, half + 1, self.sign_y * (half - 1))
 
 
-def _parabolic_irreducible(x_power: tuple[int, int] | None, y: int) -> bool:
-    """Irreducibility of ``x + ky`` (x != 0) from ``(p, g)`` with ``|x| = p^g``, or None if there is none."""
-    if x_power is None:
-        return False
-    p, g = x_power
-    return g == 1 or y % p != 0
-
-
 def _verdict(z: Element) -> tuple[bool, bool]:
     """``(prime, irreducible)`` for a nonzero non-unit z."""
     if z.kind is RingKind.PARABOLIC:
         if z.x == 0:
             return abs(z.y) == 1, abs(z.y) == 1
-        return False, _parabolic_irreducible(_prime_power(abs(z.x)), z.y)
+        # off the axis: |x| = p, or |x| = p^g with p ∤ y
+        power = _prime_power(abs(z.x))
+        return False, power is not None and (power[1] == 1 or z.y % power[0] != 0)
     ep = z.eta_plus
     if z.kind is RingKind.HYPERBOLIC:
         if ep == 0:

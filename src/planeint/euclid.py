@@ -221,18 +221,10 @@ def _hyperbolic_improvement(alpha: Element, residues: list[Element]) -> Element 
 
 def _pure_zero_divisor_part(kind: RingKind, gens: list[Element]) -> IdealDecomposition:
     if kind is RingKind.PARABOLIC:
-        g0 = 0
-        for g in gens:
-            g0 = gcd(g0, g.y)
-        return IdealDecomposition(kind, None, 0, 0, g0)
-    # hyperbolic: the generators lie on a single diagonal
-    gp = gm = 0
-    for g in gens:
-        if g.x == g.y:
-            gp = gcd(gp, g.x)
-        else:
-            gm = gcd(gm, g.x)
-    return IdealDecomposition(kind, None, gp, gm, 0)
+        return IdealDecomposition(kind, None, 0, 0, gcd(*(g.y for g in gens)))
+    # hyperbolic: the generators lie on a single diagonal, where t(1±j) has diagonal coordinate 2t
+    gp, gm = _diag_gcds(gens)
+    return IdealDecomposition(kind, None, gp // 2, gm // 2, 0)
 
 
 def decompose(ideal: FGIdeal) -> IdealDecomposition:
@@ -280,10 +272,7 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
             raise EuclidInvariantError(f"nonzero elliptic residues {residues} after descent")
         return IdealDecomposition(kind, alpha, 0, 0, 0)
     if kind is RingKind.PARABOLIC:
-        g0 = alpha.x
-        for r in residues:
-            g0 = gcd(g0, r.y)
-        return IdealDecomposition(kind, alpha, 0, 0, abs(g0))
+        return IdealDecomposition(kind, alpha, 0, 0, gcd(alpha.x, *(r.y for r in residues)))
 
     # hyperbolic: project the parametrized ideal onto each diagonal.  The
     # parity coupling of the α-multiplier decides whether odd multiples

@@ -28,18 +28,16 @@ factor from that one factorization:
 
 The factors are the ones the recursion ``a = b·c`` through :func:`split`
 reaches, down to the choice among the non-unique factorizations.
-:func:`split` decides irreducibility through :mod:`planeint.classify` and
-builds its witness from the same helpers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classify import _parabolic_irreducible, is_irreducible
+from .classify import is_irreducible
 from .core import Element, RingError, RingKind, _mk, diagonal_coords, from_diagonal_coords
 from .euclid import divides
-from .integers import int_factor, sum_two_squares
+from .integers import int_factor, sum_two_squares, two_adic_valuation
 
 
 class ZeroDivisorFactorizationError(RingError):
@@ -88,7 +86,7 @@ def _hyperbolic_peel(a: Element) -> tuple[int, int, list[tuple[int, int]]]:
         + [(p, 1, e) for p, e in int_factor(abs(v))[1] if p != 2]
     )
     peeled = [(1, p) if side else (p, 1) for p, side, e in odd for _ in range(e)]
-    a2, b2 = ((w & -w).bit_length() - 1 for w in (u, v))
+    a2, b2 = two_adic_valuation(u), two_adic_valuation(v)
     if a2:  # u ≡ v (mod 2), so b2 > 0 as well
         m = min(a2, b2)
         peeled += [(2, 2)] * (m - 1)
@@ -104,57 +102,40 @@ def _parabolic_residue(x: int, y: int, m: int) -> int:
 # -- splitting ---------------------------------------------------------------
 
 
-def _split_hyperbolic(a: Element) -> tuple[Element, Element]:
-    u, v, peeled = _hyperbolic_peel(a)
-    fu, fv = peeled[0]
-    return from_diagonal_coords(fu, fv), from_diagonal_coords(u // fu, v // fv)
-
-
-def _split_parabolic(a: Element, x_primes: list[tuple[int, int]]) -> tuple[Element, Element]:
-    """Witness for a reducible ``x + ky`` with x != 0, given the prime factorization of |x|."""
-    if a.x < 0:
-        b, c = _split_parabolic(-a, x_primes)
-        return -b, c
-    x, y = a.x, a.y
-    p, g = x_primes[0]
-    if len(x_primes) == 1:  # x = p^g with g >= 2 and p | y
-        return Element(a.kind, p, 0), Element(a.kind, p ** (g - 1), y // p)
-    # coprime split x = m*n; solve r*n + s*m = y
-    m = p**g
-    n = x // m
-    r = _parabolic_residue(x, y, m)
-    s = (y - r * n) // m
-    return Element(a.kind, m, r), Element(a.kind, n, s)
-
-
-def _split_elliptic(a: Element) -> tuple[Element, Element]:
-    for p, _ in int_factor(a.eta_plus)[1]:
-        for c in _gaussian_primes(a.kind, p):
-            q = divides(c, a)
-            if q is not None:
-                return c, q
-    raise FactorWitnessError(f"no Gaussian prime over the norm of {a} divides it")
-
-
 def split(a: Element) -> tuple[Element, Element] | None:
     """One nontrivial factorization ``a = b*c`` (neither factor a unit), or None.
 
-    None means a is irreducible.  Parabolic inputs on the axis are split as
-    ``ky = y * k`` when ``|y| > 1``.
+    None means a is irreducible.  Otherwise b is the first witness below that
+    divides a, and c is the exact quotient, unique because b has nonzero norm.
+    Elliptic: a Gaussian prime over the primes of η⁺, ascending.  Hyperbolic:
+    the first factor :func:`factor` peels.  Parabolic, with s the sign of x:
+    ``s·p`` when ``|x| = p^g``, else ``s·(m + kr)``, the piece :func:`factor`
+    builds at the power m of the least prime of x; on the axis, ``ky = y * k``.
     """
     _check_splittable(a)
-    if a.kind is RingKind.PARABOLIC and a.x:
-        # the verdict and the witness read the same factorization of x
-        x_primes = int_factor(a.x)[1]
-        x_power = x_primes[0] if len(x_primes) == 1 else None
-        return None if _parabolic_irreducible(x_power, a.y) else _split_parabolic(a, x_primes)
     if is_irreducible(a):
         return None
-    if a.kind is RingKind.HYPERBOLIC:
-        return _split_hyperbolic(a)
-    if a.kind is RingKind.PARABOLIC:  # on the axis: ky = y * k
-        return Element(a.kind, a.y, 0), Element(a.kind, 0, 1)
-    return _split_elliptic(a)
+    kind = a.kind
+    if kind is RingKind.ELLIPTIC:
+        witnesses = (c for p, _ in int_factor(a.eta_plus)[1] for c in _gaussian_primes(kind, p))
+    elif kind is RingKind.HYPERBOLIC:
+        witnesses = [from_diagonal_coords(*_hyperbolic_peel(a)[2][0])]
+    elif a.x == 0:
+        witnesses = [_mk(kind, a.y, 0)]
+    else:
+        s = 1 if a.x > 0 else -1
+        x_primes = int_factor(a.x)[1]
+        p, g = x_primes[0]
+        if len(x_primes) == 1:  # |x| = p^g with g >= 2 and p | y
+            witnesses = [_mk(kind, s * p, 0)]
+        else:
+            m = p**g
+            witnesses = [_mk(kind, s * m, s * _parabolic_residue(s * a.x, s * a.y, m))]
+    for b in witnesses:
+        c = divides(b, a)
+        if c is not None:
+            return b, c
+    raise FactorWitnessError(f"no witness read from the norm of {a} divides it")
 
 
 # -- full factorization -------------------------------------------------------

@@ -7,10 +7,8 @@ representations of ordinary integers.  Nothing here knows about the rings;
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isqrt, prod
-
-_TRIAL_OFFSETS = (4, 2, 4, 2, 4, 6, 2, 6)  # wheel mod 30 after 2, 3, 5
 
 # Below this, primality and factoring are plain trial division, whose divisors
 # stay below 2⁸; above it, Miller–Rabin, a small-prime gcd and Pollard–Brent
@@ -61,7 +59,7 @@ _RHO_BATCH = 128  # rho steps whose differences share one gcd
 def _strong_probable_prime(n: int, a: int) -> bool:
     """Miller–Rabin round: False proves the odd n > a composite."""
     d = n - 1
-    s = (d & -d).bit_length() - 1
+    s = two_adic_valuation(d)
     x = pow(a, d >> s, n)
     if x == 1 or x == n - 1:
         return True
@@ -75,36 +73,27 @@ def _strong_probable_prime(n: int, a: int) -> bool:
 def is_prime_int(n: int) -> bool:
     """Exact primality of an integer.
 
-    Below 2¹⁶ this is trial division.  Above it, deterministic Miller–Rabin
-    on the first k prime bases, with k the smallest count proven for n's
-    size; the first 13 primes cover every n < 3,317,044,064,679,887,385,961,981
-    (≈ 3.3·10²⁴).  Beyond that bound no finite base set is proven: a failed
-    round on any prime base below 100 still proves n composite, and an n that
-    passes them all is settled by trial division, which is exact but takes
-    O(√n) steps, so primes above 3.3·10²⁴ are slow.
+    Below 2¹⁶ this is trial division by the prime table.  Above it,
+    deterministic Miller–Rabin on the first k prime bases, with k the smallest
+    count proven for n's size; the first 13 primes cover every
+    n < 3,317,044,064,679,887,385,961,981 (≈ 3.3·10²⁴).  Beyond that bound no
+    finite base set is proven: a failed round on any prime base below 100
+    still proves n composite, and an n that passes them all is settled by
+    odd trial division, which is exact but takes O(√n) steps, so primes above
+    3.3·10²⁴ are slow.
     """
-    if n >= _CROSSOVER:
-        if n % 2 == 0:
-            return False
-        for bound, k in _MR_PROVEN:
-            if n < bound:
-                return all(_strong_probable_prime(n, a) for a in _MR_BASES[:k])
-        if not all(_strong_probable_prime(n, a) for a in _MR_BASES):
-            return False
-    # trial division: the whole test below the crossover, the exact fallback above the table
-    if n < 2:
+    if n < _CROSSOVER:
+        for p in _SMALL_PRIMES:  # the table runs past √n < 2⁸, so this loop returns
+            if p * p > n:
+                return n > 1
+            if n % p == 0:
+                return n == p
+    if n % 2 == 0:
         return False
-    for p in (2, 3, 5):
-        if n % p == 0:
-            return n == p
-    f = 7
-    i = 0
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += _TRIAL_OFFSETS[i]
-        i = (i + 1) % 8
-    return True
+    for bound, k in _MR_PROVEN:
+        if n < bound:
+            return all(_strong_probable_prime(n, a) for a in _MR_BASES[:k])
+    return all(_strong_probable_prime(n, a) for a in _MR_BASES) and all(n % f for f in range(3, isqrt(n) + 1, 2))
 
 
 def _brent_rho(n: int) -> int:
@@ -191,14 +180,31 @@ def _iroot(m: int, k: int) -> int:
         r = s
 
 
+def _exact_root(m: int) -> tuple[int, int] | None:
+    """``(r, k)`` with ``m = r^k`` for the least prime k that has one, or None; m has no prime below 2¹².
+
+    Every prime of such an m exceeds 2¹², so a k-th power needs k <= log₄₀₉₆ m;
+    the prime k up to that bound are tried, from the prime table and past it.
+    """
+    bound = m.bit_length() // 12
+    past_table = filter(is_prime_int, range(_SMALL_PRIMES[-1] + 2, bound + 1, 2))
+    for k in chain(_SMALL_PRIMES, past_table):
+        if k > bound:
+            break
+        r = isqrt(m) if k == 2 else _iroot(m, k)
+        if r**k == m:
+            return r, k
+    return None
+
+
 def _prime_power(n: int) -> tuple[int, int] | None:
     """``(p, g)`` with ``n = p^g`` for a prime p, or None; n >= 2.
 
-    n is never factored.  Below 2¹⁶, trial division stops at the first prime.
-    Above, the small-prime stage either finds n's only prime below 2¹² or
-    leaves a cofactor with none: one below 2²⁴ is prime, a larger one needs one
-    :func:`is_prime_int`.  A composite p^g with p > 2¹² has g <= log₄₀₉₆ n, so
-    only the exact k-th roots for primes k up to that bound are tried.
+    n is never factored.  Below 2¹⁶, trial division by the prime table stops at
+    the first prime.  Above, the small-prime stage either finds n's only prime
+    below 2¹² or leaves a cofactor with none: one below 2²⁴ is prime, a larger
+    one needs one :func:`is_prime_int`, and a composite one is a prime power
+    only through :func:`_exact_root`.
     """
     if n < _CROSSOVER:
         p, g, rest = next(_trial_division(n))
@@ -208,14 +214,9 @@ def _prime_power(n: int) -> tuple[int, int] | None:
         return small[0] if m == 1 and len(small) == 1 else None
     if m < _SMOOTH_PRIME_END or is_prime_int(m):
         return m, 1
-    for k in _SMALL_PRIMES:
-        if k > m.bit_length() // 12:
-            break
-        r = isqrt(m) if k == 2 else _iroot(m, k)
-        if r**k == m:
-            root = _prime_power(r)
-            return root and (root[0], root[1] * k)
-    return None
+    root = _exact_root(m)
+    power = root and _prime_power(root[0])
+    return power and (power[0], power[1] * root[1])
 
 
 def int_factor(n: int) -> tuple[int, list[tuple[int, int]]]:
@@ -224,10 +225,11 @@ def int_factor(n: int) -> tuple[int, list[tuple[int, int]]]:
     Below 2¹⁶ this is trial division by the primes below 2⁸.  Above, the
     small-prime stage strips every prime below 2¹² with one gcd (and, only
     when that gcd is above 1, a few more to say which); a cofactor left over
-    is split by Pollard–Brent rho until each piece is below 2²⁴ or passes
+    is split, as an exact power r^k into k copies of r and otherwise by
+    Pollard–Brent rho, until each piece is below 2²⁴ or passes
     :func:`is_prime_int`.  The cost grows with the square root of the
-    second-largest prime factor, so balanced semiprimes far above 64 bits
-    stay slow.
+    second-largest distinct prime factor, so balanced semiprimes far above
+    64 bits stay slow.
     """
     if n == 0:
         raise ValueError("0 has no factorization")
@@ -242,6 +244,8 @@ def int_factor(n: int) -> tuple[int, list[tuple[int, int]]]:
         m = pending.pop()
         if m < _SMOOTH_PRIME_END or is_prime_int(m):  # the pieces keep n's lack of primes below 2¹²
             counts[m] = counts.get(m, 0) + 1
+        elif root := _exact_root(m):
+            pending += [root[0]] * root[1]
         else:
             d = _brent_rho(m)
             pending += (d, m // d)

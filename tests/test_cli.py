@@ -6,11 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from planeint import Element, RingKind, elliptic, format_element, hyperbolic, parabolic
-from planeint.cli import AmbiguousRingError, ElementParseError, main, parse_element
+from planeint.cli import AmbiguousRingError, ElementParseError, _ring_arg, build_parser, main, parse_element
 
 H, K, C = hyperbolic, parabolic, elliptic
 
@@ -469,3 +469,65 @@ class TestJsonSchema:
             check_schema(command, json.loads(out))
         else:
             assert rc == 1 and out == text_out == "" and err.startswith("error: ")
+
+
+# -- argv fuzzing ---------------------------------------------------------------
+
+ARGV_WORDS = ("--json", "--color", "--ring", "i", "j", "k", "--ring=i", "--ring=j", "--ring=k", "--contains",
+              "--box", "--bound", "-h", "--", "-", "irreducible", "prime", "divisors")
+ARGV_TOKEN = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(ARGV_WORDS),
+    st.sampled_from(RingKind).flatmap(lambda kind: element_text(kind, 10**30)),
+    st.integers(-50, 50).map(str),
+)
+
+
+def _has_budget(argv):
+    """Whether argv stays inside the sizes the CLI finishes in seconds.
+
+    Until ROADMAP item 5's budgets land, some work grows without a limit
+    the CLI enforces: ``dts`` and ``table`` with their bound, ``oracle
+    prime`` with the fourth power of ``--box`` (5.6 s at 20), ``oracle`` with
+    the element, and ``classify``/``factor`` with the norm, because primality
+    past ψ13 ≈ 3.3·10²⁴ is O(√n) trial division (ROADMAP item 3).  So those
+    argv keep n_max and --bound <= 50, --box <= 6, oracle coordinates <= 200
+    and classify/factor coordinates <= 10¹², whose norms stay below ψ13.
+    """
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = build_parser().parse_args(argv)
+    except SystemExit:
+        return True  # argparse refuses it before any work
+    if args.command == "dts":
+        return args.n_max <= 50
+    if args.command == "table":
+        return args.bound <= 50
+    if args.command not in ("classify", "factor", "oracle"):
+        return True
+    if args.command == "oracle" and args.mode == "prime" and args.box > 6:
+        return False
+    try:
+        z = parse_element(args.element, _ring_arg(args))
+    except ElementParseError:
+        return True
+    return max(abs(z.x), abs(z.y)) <= (200 if args.command == "oracle" else 10**12)
+
+
+class TestArgvFuzz:
+    """Any argv ends in exit code 0, 1 or 2, or in argparse's SystemExit; nothing else escapes main."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(("--json", "--color")), max_size=1),
+           st.one_of(st.sampled_from(sorted({key.split()[0] for key in SCHEMA})), st.text(max_size=12)),
+           st.lists(ARGV_TOKEN, max_size=4))
+    def test_exit_codes(self, prefix, command, tokens):
+        argv = [*prefix, command, *tokens]
+        assume(_has_budget(argv))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse: --help, or a usage error
+                assert exc.code in (0, 2), argv
+                return
+        assert rc in (0, 1, 2), argv

@@ -223,6 +223,37 @@ class TestPrimePower:
         assert _prime_power(n) == (next(iter(exponents.items())) if len(exponents) == 1 else None)
 
 
+class TestExactRoot:
+    """A prime power above 2¹² is read from an exact root, never from a rho walk of √p steps."""
+
+    def test_int_factor_of_large_prime_powers_runs_no_rho(self, monkeypatch):
+        def no_rho(n):
+            raise AssertionError(f"rho started on {n}")
+
+        q = sympy.nextprime(2**20)
+        for b in (24, 32, 48, 64):
+            p = sympy.nextprime(2**b)
+            for g in (2, 3, 5):
+                with monkeypatch.context() as m:
+                    m.setattr(kernel, "_brent_rho", no_rho)
+                    assert int_factor(p**g) == (1, [(p, g)]), (b, g)
+                assert int_factor(-(p**g) * q) == (-1, [(q, 1), (p, g)]), (b, g)  # rho finds q, a root gives p^g
+                if b <= 32:
+                    assert sympy.factorint(p**g * q) == {p: g, q: 1}
+
+    def test_least_prime_exponent(self):
+        p = sympy.nextprime(2**24)
+        assert kernel._exact_root(p**6) == (p**3, 2)
+        assert kernel._exact_root(p**35) == (p**7, 5)
+        assert kernel._exact_root(p**6 * sympy.nextprime(p)) is None
+
+    def test_exponent_past_the_prime_table(self, monkeypatch):
+        # 4099 is the least prime above the table's last prime 4093; the stub stands in for
+        # the 565 Newton roots of a 49,193-bit number, one per prime k up to 4099
+        monkeypatch.setattr(kernel, "_iroot", lambda m, k: 4099 if k == 4099 else 1)
+        assert kernel._exact_root(4099**4099) == (4099, 4099)
+
+
 class TestIntFactorMatchesWheel:
     """``int_factor`` with the small-prime gcd stage gives what the trial-division wheel gave."""
 
@@ -263,12 +294,13 @@ class TestSplit:
             calls.append(n)
             return int_factor(n)
 
-        # the parabolic verdict never factors x, so planeint.factor holds the only call
+        # the parabolic verdict never factors x, so planeint.factor holds the only call,
+        # and only a reducible element needs it for its witness
         monkeypatch.setattr(FACTOR_MODULE, "int_factor", counting)
-        for z in (K(6, 5), K(-6, 5), K(9, 3), K(9, 1)):
+        for z, expected in ((K(6, 5), [6]), (K(-6, 5), [-6]), (K(9, 3), [9]), (K(9, 1), [])):
             calls.clear()
             split(z)
-            assert calls == [z.x], (z, calls)
+            assert calls == expected, (z, calls)
 
     def test_negative_real_part(self):
         pair = split(K(-6, 5))
