@@ -22,10 +22,10 @@ Each ring's rule is stated once, in ``_verdict``; :func:`is_prime`,
 :func:`planeint.factor.split` all read their answer from it.
 
 Cost model: a Gaussian or hyperbolic verdict makes one primality test, of
-the norm (of the integer on the Gaussian axes).  A parabolic verdict never
-factors x: ``_prime_power`` strips the primes below 2¹² with one gcd, makes
-one primality test of what is left, and tries a few exact integer roots
-only when that is composite.
+the norm (of the integer on the Gaussian axes).  A parabolic verdict reads
+an x below 2¹⁶ from a table and never factors a larger one: ``_prime_power``
+strips the primes below 2¹² with one gcd, makes one primality test of what
+is left, and tries a few exact integer roots only when that is composite.
 """
 
 from __future__ import annotations

@@ -82,8 +82,12 @@ _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 _entry_limit: int | None = None
 
 
+def _literal_limit() -> int:
+    return _get_digit_limit() if _entry_limit is None else _entry_limit
+
+
 def _int(digits: str) -> int:
-    limit = _get_digit_limit() if _entry_limit is None else _entry_limit
+    limit = _literal_limit()
     if limit and len(digits.lstrip("+-")) > limit:  # the regex admits only a sign and digits
         raise ElementParseError(f"a coordinate has more than {limit} digits")
     return int(digits)
@@ -280,7 +284,23 @@ def _render_oracle_prime(p: dict, color: bool) -> str:
     return _lines(f"verdict  {p['verdict']}", *witness)
 
 
+_RE_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*\Z")  # the exponent syntax Fraction reads
+
+
 def _coefficient(text: str) -> Fraction:
+    """A rational coefficient, held to the literal limit with its exponent written out.
+
+    ``Fraction('1e99999')`` builds a 100,000-digit integer, so the digits and
+    the exponent are counted on the text, before ``Fraction`` reads it, and
+    the exponent's length is checked before ``int`` reads the exponent.
+    """
+    limit = _literal_limit()
+    if limit:
+        m = _RE_EXPONENT.search(text)
+        mantissa, exponent = (text[: m.start()], m[1]) if m else (text, "0")
+        digits = sum(map(str.isdecimal, mantissa))
+        if digits + len(exponent) > limit or digits + abs(int(exponent)) > limit:
+            raise ElementParseError(f"a coefficient has more than {limit} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):  # Fraction('a'), Fraction('1/0')

@@ -7,28 +7,26 @@ representations of ordinary integers.  Nothing here knows about the rings;
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import chain
 from math import gcd, isqrt, prod
 
-# Below this, primality and factoring are plain trial division, whose divisors
-# stay below 2⁸; above it, Miller–Rabin, a small-prime gcd and Pollard–Brent
-# rho take over.
+# Below this, primality and factoring are table lookups in _FACTOR_OF; above
+# it, Miller–Rabin, a small-prime gcd and Pollard–Brent rho take over.
 _CROSSOVER = 1 << 16
 
-
-def _primes_below(n: int) -> tuple[int, ...]:
-    """The primes below an even n > 2, by the sieve of Eratosthenes on the odd numbers."""
-    sieve = bytearray([0]) + bytearray([1]) * (n // 2 - 1)  # sieve[i] stands for 2i + 1
-    for i in range(1, (isqrt(n) + 1) // 2):
-        if sieve[i]:
-            p = 2 * i + 1
-            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, n // 2, p)))
-    return (2, *compress(range(1, n, 2), sieve))
-
+# _FACTOR_OF[n] for n < 2¹⁶: 0 when n is prime (and for 0 and 1), otherwise the
+# least prime factor of n, which lies below 2⁸.  Each prime below 2⁸, in
+# ascending order, marks its multiples from its square on that no smaller
+# prime has marked, in one slice assignment.
+_FACTOR_OF = bytearray(_CROSSOVER)
+for _p in range(2, 1 << 8):
+    if not _FACTOR_OF[_p]:
+        _FACTOR_OF[_p * _p :: _p] = _FACTOR_OF[_p * _p :: _p].replace(b"\0", bytes([_p]))
+del _p
 
 # Above the crossover, one gcd with the product of the primes below 2¹² finds
 # every small prime of n at once; a cofactor free of them is prime below 2²⁴.
-_SMALL_PRIMES = _primes_below(1 << 12)
+_SMALL_PRIMES = tuple(n for n in range(2, 1 << 12) if not _FACTOR_OF[n])
 _SMALL_CHUNKS = tuple(  # 32 primes each, to say which small primes a gcd holds
     (_SMALL_PRIMES[i : i + 32], prod(_SMALL_PRIMES[i : i + 32])) for i in range(0, len(_SMALL_PRIMES), 32)
 )
@@ -73,21 +71,16 @@ def _strong_probable_prime(n: int, a: int) -> bool:
 def is_prime_int(n: int) -> bool:
     """Exact primality of an integer.
 
-    Below 2¹⁶ this is trial division by the prime table.  Above it,
-    deterministic Miller–Rabin on the first k prime bases, with k the smallest
-    count proven for n's size; the first 13 primes cover every
-    n < 3,317,044,064,679,887,385,961,981 (≈ 3.3·10²⁴).  Beyond that bound no
-    finite base set is proven: a failed round on any prime base below 100
-    still proves n composite, and an n that passes them all is settled by
-    odd trial division, which is exact but takes O(√n) steps, so primes above
-    3.3·10²⁴ are slow.
+    Below 2¹⁶ this is a table lookup.  Above it, deterministic Miller–Rabin on
+    the first k prime bases, with k the smallest count proven for n's size;
+    the first 13 primes cover every n < 3,317,044,064,679,887,385,961,981
+    (≈ 3.3·10²⁴).  Beyond that bound no finite base set is proven: a failed
+    round on any prime base below 100 still proves n composite, and an n that
+    passes them all is settled by odd trial division, which is exact but
+    takes O(√n) steps, so primes above 3.3·10²⁴ are slow.
     """
     if n < _CROSSOVER:
-        for p in _SMALL_PRIMES:  # the table runs past √n < 2⁸, so this loop returns
-            if p * p > n:
-                return n > 1
-            if n % p == 0:
-                return n == p
+        return n > 1 and not _FACTOR_OF[n]
     if n % 2 == 0:
         return False
     for bound, k in _MR_PROVEN:
@@ -129,19 +122,17 @@ def _brent_rho(n: int) -> int:
         c += 1
 
 
-def _trial_division(n: int):
-    """``(p, e, rest)`` for each prime power p^e of 1 <= n < 2¹⁶, ascending; rest is n without them so far."""
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            yield p, e, n
-    if n > 1:  # no prime up to √n divides it
-        yield n, 1, 1
+def _table_factor(n: int) -> list[tuple[int, int]]:
+    """The prime powers of 1 <= n < 2¹⁶, ascending: divide out the table's least prime, then the next."""
+    out = []
+    while n > 1:
+        p = _FACTOR_OF[n] or n
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
 
 
 def _strip_small(n: int) -> tuple[list[tuple[int, int]], int]:
@@ -184,7 +175,7 @@ def _exact_root(m: int) -> tuple[int, int] | None:
     """``(r, k)`` with ``m = r^k`` for the least prime k that has one, or None; m has no prime below 2¹².
 
     Every prime of such an m exceeds 2¹², so a k-th power needs k <= log₄₀₉₆ m;
-    the prime k up to that bound are tried, from the prime table and past it.
+    the prime k up to that bound are tried, from ``_SMALL_PRIMES`` and past it.
     """
     bound = m.bit_length() // 12
     past_table = filter(is_prime_int, range(_SMALL_PRIMES[-1] + 2, bound + 1, 2))
@@ -200,15 +191,15 @@ def _exact_root(m: int) -> tuple[int, int] | None:
 def _prime_power(n: int) -> tuple[int, int] | None:
     """``(p, g)`` with ``n = p^g`` for a prime p, or None; n >= 2.
 
-    n is never factored.  Below 2¹⁶, trial division by the prime table stops at
-    the first prime.  Above, the small-prime stage either finds n's only prime
-    below 2¹² or leaves a cofactor with none: one below 2²⁴ is prime, a larger
-    one needs one :func:`is_prime_int`, and a composite one is a prime power
-    only through :func:`_exact_root`.
+    Below 2¹⁶ this is a table lookup.  Above, n is never factored: the
+    small-prime stage either finds n's only prime below 2¹² or leaves a
+    cofactor with none.  One below 2²⁴ is prime, a larger one needs one
+    :func:`is_prime_int`, and a composite one is a prime power only through
+    :func:`_exact_root`.
     """
     if n < _CROSSOVER:
-        p, g, rest = next(_trial_division(n))
-        return (p, g) if rest == 1 else None
+        powers = _table_factor(n)
+        return powers[0] if len(powers) == 1 else None
     small, m = _strip_small(n)
     if small:
         return small[0] if m == 1 and len(small) == 1 else None
@@ -222,33 +213,32 @@ def _prime_power(n: int) -> tuple[int, int] | None:
 def int_factor(n: int) -> tuple[int, list[tuple[int, int]]]:
     """Sign and prime factorization of a nonzero integer, primes ascending, exponents collected.
 
-    Below 2¹⁶ this is trial division by the primes below 2⁸.  Above, the
-    small-prime stage strips every prime below 2¹² with one gcd (and, only
-    when that gcd is above 1, a few more to say which); a cofactor left over
-    is split, as an exact power r^k into k copies of r and otherwise by
-    Pollard–Brent rho, until each piece is below 2²⁴ or passes
-    :func:`is_prime_int`.  The cost grows with the square root of the
-    second-largest distinct prime factor, so balanced semiprimes far above
-    64 bits stay slow.
+    Below 2¹⁶ this is a table lookup.  Above, the small-prime stage strips
+    every prime below 2¹² with one gcd (and, only when that gcd is above 1, a
+    few more to say which); a cofactor left over is split, as an exact power
+    r^j into r with j times its multiplicity and otherwise by Pollard–Brent
+    rho, until each piece is below 2²⁴ or passes :func:`is_prime_int`.  The
+    cost grows with the square root of the second-largest distinct prime
+    factor, so balanced semiprimes far above 64 bits stay slow.
     """
     if n == 0:
         raise ValueError("0 has no factorization")
     sign = -1 if n < 0 else 1
     n = abs(n)
     if n < _CROSSOVER:
-        return sign, [(p, e) for p, e, _ in _trial_division(n)]
+        return sign, _table_factor(n)
     out, n = _strip_small(n)
     counts: dict[int, int] = {}
-    pending = [n] if n > 1 else []
+    pending = [(n, 1)] if n > 1 else []  # (piece, multiplicity)
     while pending:
-        m = pending.pop()
+        m, k = pending.pop()
         if m < _SMOOTH_PRIME_END or is_prime_int(m):  # the pieces keep n's lack of primes below 2¹²
-            counts[m] = counts.get(m, 0) + 1
+            counts[m] = counts.get(m, 0) + k
         elif root := _exact_root(m):
-            pending += [root[0]] * root[1]
+            pending.append((root[0], k * root[1]))
         else:
             d = _brent_rho(m)
-            pending += (d, m // d)
+            pending += ((d, k), (m // d, k))
     return sign, out + sorted(counts.items())
 
 

@@ -232,6 +232,17 @@ class TestOverLongLiteral:
         rc, out, err = run(capsys, *flags, "classify", "7" * (limit + 1) + "+1i")
         assert (rc, out, err) == (2, "", f"error: a coordinate has more than {limit} digits\n")
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_classify_poly_coefficient_exits_2(self, capsys, flags):
+        # digits plus |exponent|: 10^limit has limit + 1 digits, and so has the denominator of 1e-limit
+        limit = sys.get_int_max_str_digits()
+        for coefficients in (["1e99999", "1", "1"], ["1", f"1e-{limit}", "1"], ["7" * (limit + 1), "0", "1"],
+                             ["1", "0", f"{'7' * (limit - 1)}e2"]):
+            rc, out, err = run(capsys, *flags, "classify-poly", *coefficients)
+            assert (rc, out, err) == (2, "", f"error: a coefficient has more than {limit} digits\n"), coefficients
+        rc, out, err = run(capsys, *flags, "classify-poly", f"1e{limit - 1}", "0", "1")
+        assert (rc, err) == (0, "") and str(-4 * 10 ** (limit - 1)) in out
+
 
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int/str digit limit"
@@ -480,6 +491,7 @@ ARGV_TOKEN = st.one_of(
     st.sampled_from(ARGV_WORDS),
     st.sampled_from(RingKind).flatmap(lambda kind: element_text(kind, 10**30)),
     st.integers(-50, 50).map(str),
+    st.integers(-10**6, 10**6).map(lambda e: f"1e{e}"),
 )
 
 
@@ -493,6 +505,8 @@ def _has_budget(argv):
     past ψ13 ≈ 3.3·10²⁴ is O(√n) trial division (ROADMAP item 3).  So those
     argv keep n_max and --bound <= 50, --box <= 6, oracle coordinates <= 200
     and classify/factor coordinates <= 10¹², whose norms stay below ψ13.
+    ``classify-poly`` needs no guard: a coefficient whose digits plus
+    exponent pass the literal limit is refused before ``Fraction`` reads it.
     """
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

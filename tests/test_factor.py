@@ -45,6 +45,14 @@ class TestIntegerHelpers:
             assert is_prime_int(n) == (n in primes)
         assert is_prime_int(7919) and not is_prime_int(7917)
 
+    @pytest.mark.parametrize("n", [7.5, 12.0, 65537.0, 70001.0])
+    def test_non_int_arguments_raise_type_error(self, n):
+        # below 2¹⁶ the table index refuses them; above, the gcd and the 2-adic valuation do
+        with pytest.raises(TypeError):
+            is_prime_int(n)
+        with pytest.raises(TypeError):
+            int_factor(n)
+
     def test_int_factor(self):
         assert int_factor(64) == (1, [(2, 6)])
         assert int_factor(225) == (1, [(3, 2), (5, 2)])
@@ -252,6 +260,21 @@ class TestExactRoot:
         # the 565 Newton roots of a 49,193-bit number, one per prime k up to 4099
         monkeypatch.setattr(kernel, "_iroot", lambda m, k: 4099 if k == 4099 else 1)
         assert kernel._exact_root(4099**4099) == (4099, 4099)
+
+    def test_power_of_a_composite_walks_rho_once(self, monkeypatch):
+        # (pq)^k is queued once with multiplicity k, not as k copies of pq that each start a walk
+        p, q = sympy.nextprime(2**30), sympy.nextprime(2**31)
+        rho, calls = kernel._brent_rho, []
+
+        def counted(n):
+            calls.append(n)
+            return rho(n)
+
+        monkeypatch.setattr(kernel, "_brent_rho", counted)
+        for k in (1, 3, 5):
+            calls.clear()
+            assert int_factor((p * q) ** k) == (1, [(p, k), (q, k)]), k
+            assert calls == [p * q], k
 
 
 class TestIntFactorMatchesWheel:
