@@ -2,80 +2,45 @@
 rings of the plane: Gaussian (θ² = -1), hyperbolic (θ² = +1) and parabolic
 (θ² = 0) integers."""
 
-from .analytic import (
-    OutOfSectorError,
-    PolarForm,
-    RealElement,
-    euler_check,
-    exp_theta,
-    polar_decompose,
-    pow_moivre,
-)
-from .classify import (
-    IrreducibleForm,
-    PrimeIntegerReport,
-    classify,
-    is_irreducible,
-    is_prime,
-    prime_integer_behavior,
-)
-from .core import (
-    Classification,
-    Element,
-    KindMismatchError,
-    NotInvertibleError,
-    RingError,
-    RingKind,
-    WrongRingError,
-    diagonal_coords,
-    elliptic,
-    format_element,
-    from_diagonal_coords,
-    hyperbolic,
-    inner_product,
-    lex_less,
-    norm_data,
-    normalize_associate,
-    one,
-    parabolic,
-    theta,
-    zero,
-)
-from .euclid import (
-    DivResult,
-    DivisorIsZeroDivisorError,
-    FGIdeal,
-    IdealDecomposition,
-    decompose,
-    div_rem,
-    divides,
-    ideal_contains,
-)
-from .factor import Factorization, ZeroDivisorFactorizationError, factor, split
-from .integers import (
-    diff_two_squares,
-    extended_gcd,
-    int_factor,
-    is_prime_int,
-    sum_two_squares,
-    two_adic_valuation,
-)
-from .oracle import (
-    InfiniteDivisorSetError,
-    OracleVerdict,
-    Verdict,
-    divisors,
-    oracle_irreducible,
-    oracle_prime,
-)
-from .quadratic import (
-    GeneralParams,
-    QuadraticPoly,
-    canonicalize,
-    classify_quadratic,
-    general_mul,
-    general_norm_trace,
-)
+from importlib import import_module
+
+# submodule -> the public names it defines.  ``import planeint`` loads no
+# submodule: __getattr__ imports one the first time one of its names (or the
+# submodule itself, as in ``planeint.oracle``) is read.
+_SOURCES = {
+    "analytic": (
+        "OutOfSectorError", "PolarForm", "RealElement", "euler_check", "exp_theta", "polar_decompose",
+        "pow_moivre",
+    ),
+    "classification": (
+        "IrreducibleForm", "PrimeIntegerReport", "classify", "is_irreducible", "is_prime",
+        "prime_integer_behavior",
+    ),
+    "core": (
+        "Classification", "Element", "KindMismatchError", "NotInvertibleError", "RingError", "RingKind",
+        "WrongRingError", "diagonal_coords", "elliptic", "format_element", "from_diagonal_coords",
+        "hyperbolic", "inner_product", "lex_less", "norm_data", "normalize_associate", "one", "parabolic",
+        "theta", "zero",
+    ),
+    "euclid": (
+        "DivResult", "DivisorIsZeroDivisorError", "FGIdeal", "IdealDecomposition", "decompose", "div_rem",
+        "divides", "ideal_contains",
+    ),
+    "factorization": ("Factorization", "ZeroDivisorFactorizationError", "factor", "split"),
+    "integers": (
+        "diff_two_squares", "extended_gcd", "int_factor", "is_prime_int", "sum_two_squares",
+        "two_adic_valuation",
+    ),
+    "oracle": (
+        "InfiniteDivisorSetError", "OracleVerdict", "Verdict", "divisors", "oracle_irreducible",
+        "oracle_prime",
+    ),
+    "quadratic": (
+        "GeneralParams", "QuadraticPoly", "canonicalize", "classify_quadratic", "general_mul",
+        "general_norm_trace",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -144,3 +109,18 @@ __all__ = [
     "two_adic_valuation",
     "zero",
 ]
+
+
+def __getattr__(name: str):
+    """Import the submodule behind ``name`` and keep the result as a module global."""
+    if name in _SOURCES:
+        return import_module(f".{name}", __name__)  # importing binds it in this namespace
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SOURCES})

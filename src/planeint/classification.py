@@ -19,7 +19,7 @@ Highlights of the landscape these rules encode:
 
 Each ring's rule is stated once, in ``_verdict``; :func:`is_prime`,
 :func:`is_irreducible`, :func:`classify`, :func:`prime_integer_behavior` and
-:func:`planeint.factor.split` all read their answer from it.
+:func:`planeint.factorization.split` all read their answer from it.
 
 Cost model: a Gaussian or hyperbolic verdict makes one primality test, of
 the norm (of the integer on the Gaussian axes).  A parabolic verdict reads

@@ -11,19 +11,13 @@ Exit codes: 0 success, 1 domain error, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import re
 import sys
 from collections.abc import Callable, Iterable
-from fractions import Fraction
 
-from . import analytic, euclid, oracle, quadratic
-from .classify import classify as classify_element
+# each handler imports the modules it needs, so a child process loads no more
+# of the package than its command uses
 from .core import Element, RingError, RingKind, format_element, norm_data
-from .factor import factor as factor_element
-from .integers import diff_two_squares, two_adic_valuation
 
 MAX_TABLE_BOUND = 100
 
@@ -129,6 +123,9 @@ def _lines(*lines: str) -> str:
 
 def _csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
     """CSV text with booleans as ``true``/``false`` and csv's CRLF row endings."""
+    import csv
+    import io
+
     out = io.StringIO()
     csv.writer(out).writerows(
         [str(v).lower() if isinstance(v, bool) else v for v in row] for row in (header, *rows)
@@ -146,8 +143,10 @@ def _ring_arg(args: argparse.Namespace) -> RingKind | None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> Output:
+    from .classification import classify
+
     z = parse_element(args.element, _ring_arg(args))
-    c = classify_element(z)
+    c = classify(z)
     canonical, unit = z.canonical_associate()
     payload = {
         "element": z,
@@ -171,8 +170,10 @@ def _render_classify(p: dict, color: bool) -> str:
 
 
 def _cmd_factor(args: argparse.Namespace) -> Output:
+    from .factorization import factor
+
     z = parse_element(args.element, _ring_arg(args))
-    f = factor_element(z)
+    f = factor(z)
     payload = {
         "element": z,
         "unit": f.unit,
@@ -189,9 +190,11 @@ def _render_factor(p: dict, color: bool) -> str:
 
 
 def _cmd_divmod(args: argparse.Namespace) -> Output:
+    from .euclid import div_rem
+
     a = parse_element(args.a, _ring_arg(args))
     b = parse_element(args.b, a.kind)
-    res = euclid.div_rem(a, b)
+    res = div_rem(a, b)
     remainder_norm, divisor_norm = res.remainder.eta_plus, b.eta_plus
     payload = {
         "a": a,
@@ -224,6 +227,8 @@ _DTS_COLUMNS = ("n", "two_adic", "representable", "r", "s")
 
 
 def _cmd_dts(args: argparse.Namespace) -> Output:
+    from .integers import diff_two_squares, two_adic_valuation
+
     if args.n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = []
@@ -236,9 +241,11 @@ def _cmd_dts(args: argparse.Namespace) -> Output:
 
 
 def _cmd_ideal(args: argparse.Namespace) -> Output:
+    from .euclid import FGIdeal, decompose, ideal_contains
+
     first = parse_element(args.generators[0], _ring_arg(args))
     gens = [first, *(parse_element(text, first.kind) for text in args.generators[1:])]
-    dec = euclid.decompose(euclid.FGIdeal(first.kind, tuple(gens)))
+    dec = decompose(FGIdeal(first.kind, tuple(gens)))
     payload = {
         "ring": dec.kind.symbol,
         "generators": gens,
@@ -249,7 +256,7 @@ def _cmd_ideal(args: argparse.Namespace) -> Output:
     }
     if args.contains is not None:
         z = parse_element(args.contains, first.kind)
-        payload["contains"] = {"element": z, "member": euclid.ideal_contains(dec, z)}
+        payload["contains"] = {"element": z, "member": ideal_contains(dec, z)}
     return payload, _render_ideal
 
 
@@ -267,15 +274,17 @@ def _render_ideal(p: dict, color: bool) -> str:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> Output:
+    from .oracle import divisors, oracle_irreducible, oracle_prime
+
     z = parse_element(args.element, _ring_arg(args))
     if args.mode == "irreducible":
-        payload = {"element": z, "irreducible": oracle.oracle_irreducible(z)}
+        payload = {"element": z, "irreducible": oracle_irreducible(z)}
         return payload, lambda p, color: _lines(f"irreducible  {_flag(p['irreducible'], color)}")
     if args.mode == "prime":
-        res = oracle.oracle_prime(z, args.box)
+        res = oracle_prime(z, args.box)
         payload = {"element": z, "verdict": res.verdict.value, "witness": res.witness or None}
         return payload, _render_oracle_prime
-    payload = {"element": z, "divisors": oracle.divisors(z)}
+    payload = {"element": z, "divisors": divisors(z)}
     return payload, lambda p, color: _lines(", ".join(map(str, p["divisors"])))
 
 
@@ -287,13 +296,15 @@ def _render_oracle_prime(p: dict, color: bool) -> str:
 _RE_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*\Z")  # the exponent syntax Fraction reads
 
 
-def _coefficient(text: str) -> Fraction:
+def _coefficient(text: str):
     """A rational coefficient, held to the literal limit with its exponent written out.
 
     ``Fraction('1e99999')`` builds a 100,000-digit integer, so the digits and
     the exponent are counted on the text, before ``Fraction`` reads it, and
     the exponent's length is checked before ``int`` reads the exponent.
     """
+    from fractions import Fraction
+
     limit = _literal_limit()
     if limit:
         m = _RE_EXPONENT.search(text)
@@ -308,9 +319,11 @@ def _coefficient(text: str) -> Fraction:
 
 
 def _cmd_classify_poly(args: argparse.Namespace) -> Output:
-    poly = quadratic.QuadraticPoly(*map(_coefficient, (args.a, args.b, args.c)))
-    kind = quadratic.classify_quadratic(poly)
-    _, shift, scale = quadratic.canonicalize(poly.params())
+    from .quadratic import QuadraticPoly, canonicalize, classify_quadratic
+
+    poly = QuadraticPoly(*map(_coefficient, (args.a, args.b, args.c)))
+    kind = classify_quadratic(poly)
+    _, shift, scale = canonicalize(poly.params())
     payload = {key: str(getattr(poly, key)) for key in ("a", "b", "c", "disc")}
     payload.update(kind=kind.symbol, shift=shift, scale=scale)
     return payload, _render_classify_poly
@@ -326,18 +339,22 @@ def _render_classify_poly(p: dict, color: bool) -> str:
 
 
 def _cmd_exp_pow(args: argparse.Namespace) -> Output:
+    from .analytic import RealElement, exp_theta, pow_moivre
+
     kind = RingKind.from_symbol(args.ring)
-    z = analytic.RealElement(kind, args.x, args.y)
+    z = RealElement(kind, args.x, args.y)
     base = f"{args.x} + {args.y}{kind.symbol}"
     if args.command == "exp":
-        w, lhs = analytic.exp_theta(z), f"exp({base})"
+        w, lhs = exp_theta(z), f"exp({base})"
     else:
-        w, lhs = analytic.pow_moivre(z, args.n), f"({base})^{args.n}"
+        w, lhs = pow_moivre(z, args.n), f"({base})^{args.n}"
     payload = {"ring": kind.symbol, "x": w.x, "y": w.y}
     return payload, lambda p, color: _lines(f"{lhs} = {p['x']} + {p['y']}{p['ring']}")
 
 
 def _cmd_table(args: argparse.Namespace) -> Output:
+    from .classification import classify
+
     if args.bound > MAX_TABLE_BOUND:
         raise ValueError(f"bound too large (maximum {MAX_TABLE_BOUND})")
     kind = RingKind.from_symbol(args.ring)
@@ -348,7 +365,7 @@ def _cmd_table(args: argparse.Namespace) -> Output:
             z = Element(kind, x, y)
             if z.canonical_associate()[0] != z:
                 continue
-            c = classify_element(z)
+            c = classify(z)
             row = {"element": z, "eta": str(z.eta), "eta_plus": str(z.eta_plus)}
             # the table's schema has no is_zero column
             rows.append(row | {field: getattr(c, field) for field, _ in _VERDICTS[1:]})
@@ -454,7 +471,12 @@ def main(argv: list[str] | None = None) -> int:
     _set_digit_limit(0)
     try:
         payload, render = args.func(args)
-        out = json.dumps(payload, default=_elt_json) + "\n" if args.json else render(payload, args.color)
+        if args.json:
+            import json
+
+            out = json.dumps(payload, default=_elt_json) + "\n"
+        else:
+            out = render(payload, args.color)
         sys.stdout.write(out)
     except (ElementParseError, RingError, ValueError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,6 +54,18 @@ def div_rem(a: Element, b: Element) -> DivResult:
     The bound on the remainder is checked at runtime, also under ``python
     -O``: a remainder that breaks it raises :class:`EuclidInvariantError`.
     """
+    qx, qy, remainder, _ = _div_rem(a, b)
+    res = _new(DivResult)
+    _set_quotient(res, _mk(a.kind, qx, qy))
+    _set_remainder(res, remainder)
+    return res
+
+
+def _div_rem(a: Element, b: Element) -> tuple[int, int, Element, int]:
+    """:func:`div_rem`'s kernel: the quotient's coordinates, the remainder ρ and ``η(ρ)``.
+
+    The ideal descent reads ρ and its norm alone, so it builds no quotient.
+    """
     kind = a.kind
     if kind is not b.kind:
         raise KindMismatchError(f"mixed rings: {kind.name} and {b.kind.name}")
@@ -72,12 +84,10 @@ def div_rem(a: Element, b: Element) -> DivResult:
     qy = (2 * ny + e) // e2 if ny >= 0 else -((e - 2 * ny) // e2)
     rx = ax - qx * bx - mu * qy * by
     ry = ay - qx * by - qy * bx
-    if 2 * abs(rx * rx - mu * ry * ry) > e:
+    eta = rx * rx - mu * ry * ry
+    if 2 * abs(eta) > e:
         raise EuclidInvariantError(f"remainder of {a} by {b} breaks 2·η⁺(ρ) <= η⁺(b)")
-    res = _new(DivResult)
-    _set_quotient(res, _mk(kind, qx, qy))
-    _set_remainder(res, _mk(kind, rx, ry))
-    return res
+    return qx, qy, _mk(kind, rx, ry), eta
 
 
 def divides(b: Element, a: Element) -> Element | None:
@@ -165,8 +175,8 @@ def _descend(gens: list[Element], alpha: Element) -> tuple[Element, list[Element
     while True:
         residues: list[Element] = []
         for g in gens:
-            r = div_rem(g, alpha).remainder
-            if r.eta != 0:
+            _, _, r, eta = _div_rem(g, alpha)
+            if eta != 0:
                 alpha = r
                 break
             residues.append(r)
@@ -288,10 +298,13 @@ def ideal_contains(dec: IdealDecomposition, z: Element) -> bool:
     """Membership via the decomposition: reduce by α, then check the zero-divisor part."""
     if z.kind is not dec.kind:
         raise KindMismatchError(f"element of {z.kind.name} against a {dec.kind.name} ideal")
-    r = div_rem(z, dec.alpha).remainder if dec.alpha is not None else z
+    if dec.alpha is None:
+        r, eta = z, z.eta
+    else:
+        _, _, r, eta = _div_rem(z, dec.alpha)
     if not r:
         return True
-    if r.eta != 0:
+    if eta != 0:
         return False
     if dec.kind is RingKind.PARABOLIC:
         return dec.d0_gen != 0 and r.y % dec.d0_gen == 0

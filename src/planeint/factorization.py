@@ -11,7 +11,7 @@ two integers of about half the norm's size, and reads every irreducible
 factor from that one factorization:
 
 * elliptic and hyperbolic: an irreducible element of prime norm (or of the
-  hyperbolic two-power form) is recognised by :mod:`planeint.classify`
+  hyperbolic two-power form) is recognised by :mod:`planeint.classification`
   from one primality test of its norm.
 * elliptic: otherwise ``int_factor(η⁺)`` runs once, :func:`sum_two_squares`
   once per distinct prime p ≡ 1 (mod 4), and one :func:`divides` peels each
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classify import is_irreducible
+from .classification import is_irreducible
 from .core import Element, RingError, RingKind, _mk, diagonal_coords, from_diagonal_coords
 from .euclid import divides
 from .integers import int_factor, sum_two_squares, two_adic_valuation

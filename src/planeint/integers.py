@@ -2,7 +2,7 @@
 
 Primality, factorization, gcd and the sum/difference-of-two-squares
 representations of ordinary integers.  Nothing here knows about the rings;
-:mod:`planeint.classify` and :mod:`planeint.factor` both build on it.
+:mod:`planeint.classification` and :mod:`planeint.factorization` both build on it.
 """
 
 from __future__ import annotations

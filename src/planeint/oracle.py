@@ -1,6 +1,6 @@
 """Brute-force ground truth for divisibility, irreducibility and primality.
 
-Nothing here relies on the closed-form rules in :mod:`planeint.classify`;
+Nothing here relies on the closed-form rules in :mod:`planeint.classification`;
 divisor sets are enumerated exactly from the ring structure, so these
 routines can referee the fast classifiers.
 
@@ -21,10 +21,10 @@ Enumeration strategies, one per ring:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Iterator
 
 from .core import (
     Element,

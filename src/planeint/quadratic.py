@@ -10,6 +10,7 @@ basis involves floats, because it scales by ``√|D|/2``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,10 +107,17 @@ def canonicalize(params: GeneralParams) -> tuple[RingKind, float, float]:
     ``x + θy -> (x + shift*y) + θ'*(scale*y)`` is a ring homomorphism onto
     the canonical ring of that kind (θ' the canonical unit).  Completing the
     square gives ``shift = β/2`` and ``scale = √|D|/2`` (scale 1 when D = 0,
-    where any nonzero scale works).
+    where any nonzero scale works).  Both are floats, so |β| and |D| must lie
+    in the float range; past it this raises :class:`OverflowError`.
     """
     disc = params.disc
     kind = _kind_of_disc(disc)
-    shift = float(params.beta) / 2.0
-    scale = math.sqrt(abs(float(disc))) / 2.0 if disc != 0 else 1.0
+    try:
+        shift = float(params.beta) / 2.0
+        scale = math.sqrt(abs(float(disc))) / 2.0 if disc != 0 else 1.0
+    except OverflowError:
+        raise OverflowError(
+            "change of basis out of float range: shift = beta/2 and scale = sqrt(|D|)/2"
+            f" need |beta| and |D| at most {sys.float_info.max:.4g}"
+        ) from None
     return kind, shift, scale

@@ -1,7 +1,6 @@
-import importlib
-
 import pytest
 
+import planeint.classification as classification
 from planeint import (
     Element,
     IrreducibleForm,
@@ -115,15 +114,13 @@ class TestClassify:
                     assert not c.is_zero_divisor
 
     def test_one_primality_test_per_classify(self, monkeypatch):
-        # the package attribute ``classify`` is the function, not the module
-        rules = importlib.import_module("planeint.classify")
         calls = []
 
         def counting(n):
             calls.append(n)
             return is_prime_int(n)
 
-        monkeypatch.setattr(rules, "is_prime_int", counting)
+        monkeypatch.setattr(classification, "is_prime_int", counting)
         for z in (C(5, 2), H(4, 3)):  # prime norms 29 and 7
             calls.clear()
             classify(z)
@@ -150,7 +147,7 @@ class TestStructuralInvariants:
             assert canonical in (H(n + 1, n), H(n + 1, -n))
 
     def test_primes_divide_a_rational_prime_factor_of_their_norm(self):
-        from planeint.factor import int_factor
+        from planeint.factorization import int_factor
 
         for z in _box(RingKind.HYPERBOLIC, 10):
             if z.eta == 0 or z.is_unit() or not is_prime(z):

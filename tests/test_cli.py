@@ -330,6 +330,13 @@ class TestGoldenOutput:
             ("factor 3+3j", 1, "", "error: hyperbolic zero divisors have no irreducible factorization\n"),
             ("table --ring j --bound 5000", 1, "", "error: bound too large (maximum 100)\n"),
             ("pow 1 1 2 --ring j", 1, "", "error: 1.0+1.0j is outside the sector eta > 0, x > 0\n"),
+            (
+                "classify-poly 1 0 1e400",
+                1,
+                "",
+                "error: change of basis out of float range: shift = beta/2 and scale = sqrt(|D|)/2"
+                " need |beta| and |D| at most 1.798e+308\n",
+            ),
         ],
     )
     def test_exact(self, capsys, argv, rc, out, err):

@@ -29,13 +29,12 @@ from planeint import (
     sum_two_squares,
     two_adic_valuation,
 )
-from planeint.factor import FactorWitnessError
+import planeint.classification as CLASSIFY_MODULE
+import planeint.factorization as FACTOR_MODULE
+from planeint.factorization import FactorWitnessError
 from planeint.integers import _prime_power
 
 H, K, C = hyperbolic, parabolic, elliptic
-# the names planeint.factor and planeint.classify are the functions, not the modules
-FACTOR_MODULE = sys.modules["planeint.factor"]
-CLASSIFY_MODULE = sys.modules["planeint.classify"]
 
 
 class TestIntegerHelpers:

@@ -1,0 +1,130 @@
+"""What ``import planeint`` and each CLI subcommand load.
+
+The package resolves its public names on first access, and each CLI handler
+imports the modules it uses.  This process has imported every submodule by
+now, so each load check runs in a fresh interpreter.
+"""
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import planeint
+from planeint.cli import main
+
+SRC = Path(planeint.__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+
+
+def child(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with every warning an error; its output stays bytes, CRLF and all."""
+    return subprocess.run(
+        [sys.executable, "-W", "error", *args], env=ENV, cwd=str(SRC.parent), capture_output=True, timeout=60,
+    )
+
+
+def probe(statement: str, *argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run one statement in a fresh interpreter; also return the package modules it loaded."""
+    proc = child(
+        "-c",
+        "import sys\n"
+        "try:\n"
+        f"    {statement}\n"
+        "finally:\n"
+        "    sys.stderr.write('\\n' + ' '.join(m for m in sys.modules if m.split('.')[0] == 'planeint'))\n",
+        *argv,
+    )
+    return proc, set(proc.stderr.decode().splitlines()[-1].split())
+
+
+class TestWhatLoads:
+    def test_import_loads_no_submodule(self):
+        proc, loaded = probe("import planeint")
+        assert proc.returncode == 0 and loaded == {"planeint"}, proc.stderr
+
+    def test_classify_loads_no_float_oracle_or_quadratic_layer(self):
+        proc, loaded = probe(
+            "import planeint; planeint.classify(planeint.elliptic(7, 2)); "
+            "print(*sorted({'fractions', 'json', 'decimal'} & set(sys.modules)))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert loaded == {"planeint", "planeint.core", "planeint.integers", "planeint.classification"}
+        assert proc.stdout == b"\n"  # none of them
+
+    def test_cli_norm_loads_only_core(self):
+        # as ``python -m planeint.cli norm 12-5k``, which runs the CLI as __main__
+        proc, loaded = probe(
+            "import runpy; runpy.run_module('planeint.cli', run_name='__main__', alter_sys=True)",
+            "norm", "12-5k",
+        )
+        assert (proc.returncode, proc.stdout) == (0, b"eta 144\neta_plus 144\ntrace 24\n"), proc.stderr
+        assert loaded == {"planeint", "planeint.core"}
+
+
+class TestPackageNames:
+    def test_functions_survive_every_submodule_import(self):
+        # a submodule named like a function would replace it on the package when it loads
+        proc = child(
+            "-c",
+            "import importlib, pkgutil, planeint\n"
+            "before = planeint.factor, planeint.classify\n"
+            "for m in pkgutil.iter_modules(planeint.__path__):\n"
+            "    importlib.import_module('planeint.' + m.name)\n"
+            "from planeint.classification import classify\n"
+            "from planeint.factorization import factor\n"
+            "assert (planeint.factor, planeint.classify) == before == (factor, classify)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_dir_lists_all(self):
+        assert set(planeint.__all__) <= set(dir(planeint))
+
+    def test_star_import_binds_all(self):
+        namespace: dict = {}
+        exec("from planeint import *", namespace)
+        assert all(namespace[name] is getattr(planeint, name) for name in planeint.__all__)
+
+    def test_submodule_attribute_is_the_module(self):
+        assert isinstance(planeint.oracle, types.ModuleType) and planeint.oracle.__name__ == "planeint.oracle"
+        proc = child("-c", "import planeint; print(planeint.oracle.__name__, planeint.oracle.Verdict.__name__)")
+        assert (proc.returncode, proc.stdout) == (0, b"planeint.oracle Verdict\n"), proc.stderr
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="'nope'"):
+            planeint.nope  # noqa: B018
+        assert not hasattr(planeint, "nope")
+
+
+# one argv per subcommand; each child loads only what its handler imports
+SWEEP = (
+    "classify 7+2i",
+    "factor 30+8i",
+    "divmod 27+5j 4+1j",
+    "norm 12-5k",
+    "dts 8",
+    "ideal 6+4j 10+2j --contains 4+2j",
+    "oracle divisors 12+6k",
+    "classify-poly 1 -3 2",
+    "exp 0 3 --ring k",
+    "pow 5 3 2 --ring j",
+    "table --ring j --bound 3",
+)
+
+
+@pytest.mark.parametrize("flags", ["", "--json "])
+@pytest.mark.parametrize("argv", SWEEP)
+def test_fresh_child_matches_main(flags, argv):
+    """A handler that misses one of its own imports fails here, not only in-process."""
+    argv = (flags + argv).split()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    proc = child("-m", "planeint.cli", *argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == out.getvalue().encode()
