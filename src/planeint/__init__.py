@@ -4,9 +4,10 @@ rings of the plane: Gaussian (θ² = -1), hyperbolic (θ² = +1) and parabolic
 
 from importlib import import_module
 
-# submodule -> the public names it defines.  ``import planeint`` loads no
-# submodule: __getattr__ imports one the first time one of its names (or the
-# submodule itself, as in ``planeint.oracle``) is read.
+# submodule -> the public names it defines; ``__all__`` is these names, sorted.
+# ``import planeint`` loads no submodule: __getattr__ imports one the first
+# time one of its names (or the submodule itself, as in ``planeint.oracle``)
+# is read.
 _SOURCES = {
     "analytic": (
         "OutOfSectorError", "PolarForm", "RealElement", "euler_check", "exp_theta", "polar_decompose",
@@ -44,71 +45,7 @@ _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Classification",
-    "DivResult",
-    "DivisorIsZeroDivisorError",
-    "Element",
-    "FGIdeal",
-    "Factorization",
-    "GeneralParams",
-    "IdealDecomposition",
-    "InfiniteDivisorSetError",
-    "IrreducibleForm",
-    "KindMismatchError",
-    "NotInvertibleError",
-    "OracleVerdict",
-    "OutOfSectorError",
-    "PolarForm",
-    "PrimeIntegerReport",
-    "QuadraticPoly",
-    "RealElement",
-    "RingError",
-    "RingKind",
-    "Verdict",
-    "WrongRingError",
-    "ZeroDivisorFactorizationError",
-    "canonicalize",
-    "classify",
-    "classify_quadratic",
-    "decompose",
-    "diagonal_coords",
-    "diff_two_squares",
-    "div_rem",
-    "divides",
-    "divisors",
-    "elliptic",
-    "euler_check",
-    "exp_theta",
-    "extended_gcd",
-    "factor",
-    "format_element",
-    "from_diagonal_coords",
-    "general_mul",
-    "general_norm_trace",
-    "hyperbolic",
-    "ideal_contains",
-    "inner_product",
-    "int_factor",
-    "is_irreducible",
-    "is_prime",
-    "is_prime_int",
-    "lex_less",
-    "norm_data",
-    "normalize_associate",
-    "one",
-    "oracle_irreducible",
-    "oracle_prime",
-    "parabolic",
-    "polar_decompose",
-    "pow_moivre",
-    "prime_integer_behavior",
-    "split",
-    "sum_two_squares",
-    "theta",
-    "two_adic_valuation",
-    "zero",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

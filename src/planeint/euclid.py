@@ -19,7 +19,6 @@ from .core import (
     RingError,
     RingKind,
     _mk,
-    _new,
     diagonal_coords,
     from_diagonal_coords,
 )
@@ -41,10 +40,6 @@ class DivResult:
     remainder: Element
 
 
-# div_rem builds its result the way core._mk builds an Element.
-_set_quotient, _set_remainder = (DivResult.__dict__[f].__set__ for f in ("quotient", "remainder"))
-
-
 def div_rem(a: Element, b: Element) -> DivResult:
     """Division with remainder: ``a = γb + ρ`` with ``2·η⁺(ρ) <= η⁺(b)``.
 
@@ -55,10 +50,7 @@ def div_rem(a: Element, b: Element) -> DivResult:
     -O``: a remainder that breaks it raises :class:`EuclidInvariantError`.
     """
     qx, qy, remainder, _ = _div_rem(a, b)
-    res = _new(DivResult)
-    _set_quotient(res, _mk(a.kind, qx, qy))
-    _set_remainder(res, remainder)
-    return res
+    return DivResult(_mk(a.kind, qx, qy), remainder)
 
 
 def _div_rem(a: Element, b: Element) -> tuple[int, int, Element, int]:

@@ -108,16 +108,23 @@ def canonicalize(params: GeneralParams) -> tuple[RingKind, float, float]:
     the canonical ring of that kind (θ' the canonical unit).  Completing the
     square gives ``shift = β/2`` and ``scale = √|D|/2`` (scale 1 when D = 0,
     where any nonzero scale works).  Both are floats, so |β| and |D| must lie
-    in the float range; past it this raises :class:`OverflowError`.
+    in the float range, and a nonzero |D| must be a normal float: past the
+    largest float, or below the smallest normal one (where the scale would
+    come out as 0.0 or lose digits), this raises :class:`OverflowError`.
     """
     disc = params.disc
     kind = _kind_of_disc(disc)
     try:
         shift = float(params.beta) / 2.0
-        scale = math.sqrt(abs(float(disc))) / 2.0 if disc != 0 else 1.0
+        abs_disc = abs(float(disc))
     except OverflowError:
         raise OverflowError(
             "change of basis out of float range: shift = beta/2 and scale = sqrt(|D|)/2"
             f" need |beta| and |D| at most {sys.float_info.max:.4g}"
         ) from None
-    return kind, shift, scale
+    if disc != 0 and abs_disc < sys.float_info.min:
+        raise OverflowError(
+            "change of basis out of float range: scale = sqrt(|D|)/2"
+            f" needs |D| = 0 or at least {sys.float_info.min:.4g}"
+        )
+    return kind, shift, math.sqrt(abs_disc) / 2.0 if disc != 0 else 1.0

@@ -1,6 +1,6 @@
 """Reference factorization: the recursion ``a = b*c`` through one splitting witness per level.
 
-Each level decides irreducibility with :mod:`planeint.classify` and builds its
+Each level decides irreducibility with :mod:`planeint.classification` and builds its
 witness from a fresh factorization of the piece's norm (of x in the parabolic
 ring), so nothing is passed between levels.  ``planeint.factor`` must return
 exactly what this recursion returns: the same unit, the same factors in the

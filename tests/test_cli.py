@@ -240,8 +240,11 @@ class TestOverLongLiteral:
                              ["1", "0", f"{'7' * (limit - 1)}e2"]):
             rc, out, err = run(capsys, *flags, "classify-poly", *coefficients)
             assert (rc, out, err) == (2, "", f"error: a coefficient has more than {limit} digits\n"), coefficients
+        rc, out, err = run(capsys, *flags, "classify-poly", f"1e{limit - 1}", "0", f"1e{limit - 1}")
+        assert (rc, err) == (0, "") and "-4" + "0" * (2 * limit - 2) in out  # D = -4·10^(2·limit-2); str(D) passes the limit
+        # accepted, but its |D| = 4·10^(1-limit) is below the smallest normal float
         rc, out, err = run(capsys, *flags, "classify-poly", f"1e{limit - 1}", "0", "1")
-        assert (rc, err) == (0, "") and str(-4 * 10 ** (limit - 1)) in out
+        assert (rc, out) == (1, "") and "needs |D| = 0 or at least" in err
 
 
 @pytest.mark.skipif(
@@ -336,6 +339,17 @@ class TestGoldenOutput:
                 "",
                 "error: change of basis out of float range: shift = beta/2 and scale = sqrt(|D|)/2"
                 " need |beta| and |D| at most 1.798e+308\n",
+            ),
+            # |D| = 4e-400 would be the float 0.0, and 4e-320 a subnormal float
+            *(
+                (
+                    f"classify-poly {a} 0 -1",
+                    1,
+                    "",
+                    "error: change of basis out of float range: scale = sqrt(|D|)/2"
+                    " needs |D| = 0 or at least 2.225e-308\n",
+                )
+                for a in ("1e400", "1e320")
             ),
         ],
     )

@@ -6,6 +6,7 @@ now, so each load check runs in a fresh interpreter.
 """
 
 import contextlib
+import importlib
 import io
 import os
 import subprocess
@@ -99,6 +100,20 @@ class TestPackageNames:
         with pytest.raises(AttributeError, match="'nope'"):
             planeint.nope  # noqa: B018
         assert not hasattr(planeint, "nope")
+
+    @pytest.mark.parametrize("module", sorted(planeint._SOURCES))
+    def test_sources_match_submodule(self, module):
+        """The package's table agrees with the submodule's ``__all__``, or else with what it defines."""
+        mod = importlib.import_module(f"planeint.{module}")
+        if hasattr(mod, "__all__"):
+            # analytic's float tolerances are not package-level names
+            names = [n for n in mod.__all__ if n not in {"ABS_TOL", "REL_TOL", "floats_close"}]
+        else:
+            names = sorted(
+                n for n, v in vars(mod).items()
+                if not n.startswith("_") and getattr(v, "__module__", None) == mod.__name__
+            )
+        assert planeint._SOURCES[module] == tuple(names)
 
 
 # one argv per subcommand; each child loads only what its handler imports
