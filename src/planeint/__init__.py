@@ -14,14 +14,13 @@ _SOURCES = {
         "pow_moivre",
     ),
     "classification": (
-        "IrreducibleForm", "PrimeIntegerReport", "classify", "is_irreducible", "is_prime",
+        "Classification", "IrreducibleForm", "PrimeIntegerReport", "classify", "is_irreducible", "is_prime",
         "prime_integer_behavior",
     ),
     "core": (
-        "Classification", "Element", "KindMismatchError", "NotInvertibleError", "RingError", "RingKind",
-        "WrongRingError", "diagonal_coords", "elliptic", "format_element", "from_diagonal_coords",
-        "hyperbolic", "inner_product", "lex_less", "norm_data", "normalize_associate", "one", "parabolic",
-        "theta", "zero",
+        "Element", "KindMismatchError", "NotInvertibleError", "RingError", "RingKind", "WrongRingError",
+        "diagonal_coords", "elliptic", "format_element", "from_diagonal_coords", "hyperbolic",
+        "inner_product", "lex_less", "norm_data", "normalize_associate", "one", "parabolic", "theta", "zero",
     ),
     "euclid": (
         "DivResult", "DivisorIsZeroDivisorError", "FGIdeal", "IdealDecomposition", "decompose", "div_rem",

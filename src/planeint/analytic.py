@@ -13,9 +13,8 @@ magnitudes >= 1, absolute 1e-12 below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import RingError, RingKind
+from .core import RingError, RingKind, _Record, _setfield
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -25,16 +24,19 @@ class OutOfSectorError(RingError):
     """The hyperbolic polar form covers only the sector η > 0, x > 0."""
 
 
-@dataclass(frozen=True, slots=True)
-class RealElement:
+class RealElement(_Record):
     """A point ``x + θy`` with float coordinates (finite only)."""
 
+    __slots__ = __match_args__ = ("kind", "x", "y")
     kind: RingKind
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+    def __init__(self, kind: RingKind, x: float, y: float) -> None:
+        _setfield(self, "kind", kind)
+        _setfield(self, "x", x)
+        _setfield(self, "y", y)
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("coordinates must be finite")
 
     def __add__(self, other: RealElement) -> RealElement:
@@ -66,12 +68,16 @@ def floats_close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
-@dataclass(frozen=True, slots=True)
-class PolarForm:
+class PolarForm(_Record):
     """``r (cosh α + j sinh α)`` data for a sector element."""
 
+    __slots__ = __match_args__ = ("r", "alpha")
     r: float
     alpha: float
+
+    def __init__(self, r: float, alpha: float) -> None:
+        _setfield(self, "r", r)
+        _setfield(self, "alpha", alpha)
 
     def element(self) -> RealElement:
         return RealElement(

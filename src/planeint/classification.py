@@ -32,22 +32,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Classification, Element, RingKind
+from .core import Element, RingKind, _Record, _setfield
 from .integers import _prime_power, is_prime_int, sum_two_squares
 
 
-@dataclass(frozen=True)
-class IrreducibleForm:
+# the package's one dataclass: callers may use dataclasses.replace on a verdict
+@dataclass(frozen=True, slots=True)
+class Classification:
+    """Joint unit / zero-divisor / prime / irreducible verdict for one element.
+
+    Prime, irreducible and reducible are meaningful only for non-zero
+    non-units; for zero and for units all three are False.  For non-zero
+    non-units ``is_reducible == not is_irreducible``.
+    """
+
+    is_zero: bool
+    is_unit: bool
+    is_zero_divisor: bool
+    is_prime: bool
+    is_irreducible: bool
+    is_reducible: bool
+
+
+class IrreducibleForm(_Record):
     """The hyperbolic irreducible non-prime family ``(2^γ+1) ± j(2^γ-1)``."""
 
+    __slots__ = __match_args__ = ("gamma", "sign_y")
     gamma: int
     sign_y: int
 
-    def __post_init__(self) -> None:
-        if self.gamma < 0:
+    def __init__(self, gamma: int, sign_y: int) -> None:
+        if gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        if self.sign_y not in (-1, 1):
+        if sign_y not in (-1, 1):
             raise ValueError("sign_y must be ±1")
+        _setfield(self, "gamma", gamma)
+        _setfield(self, "sign_y", sign_y)
 
     def element(self) -> Element:
         half = 1 << self.gamma
@@ -103,13 +123,20 @@ def classify(z: Element) -> Classification:
     return Classification(False, False, z.is_zero_divisor(), prime, irr, not irr)
 
 
-@dataclass(frozen=True)
-class PrimeIntegerReport:
+class PrimeIntegerReport(_Record):
     """How an integer prime behaves when read inside one of the rings."""
 
+    __slots__ = __match_args__ = ("is_prime_elt", "is_irreducible_elt", "witness")
     is_prime_elt: bool
     is_irreducible_elt: bool
     witness: tuple[Element, Element] | None
+
+    def __init__(
+        self, is_prime_elt: bool, is_irreducible_elt: bool, witness: tuple[Element, Element] | None
+    ) -> None:
+        _setfield(self, "is_prime_elt", is_prime_elt)
+        _setfield(self, "is_irreducible_elt", is_irreducible_elt)
+        _setfield(self, "witness", witness)
 
 
 def prime_integer_behavior(p: int, kind: RingKind) -> PrimeIntegerReport:
@@ -133,6 +160,7 @@ def prime_integer_behavior(p: int, kind: RingKind) -> PrimeIntegerReport:
 
 
 __all__ = [
+    "Classification",
     "IrreducibleForm",
     "PrimeIntegerReport",
     "classify",

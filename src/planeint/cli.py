@@ -19,7 +19,11 @@ from collections.abc import Callable, Iterable
 # of the package than its command uses
 from .core import Element, RingError, RingKind, format_element, norm_data
 
+# bounds on the arguments that work grows with: as the square of table's
+# bound, the fourth power of oracle prime's box and linearly in dts's n_max
 MAX_TABLE_BOUND = 100
+MAX_DTS_N = 100_000
+MAX_ORACLE_BOX = 16
 
 Output = tuple[dict, Callable[[dict, bool], str]]  # (payload, render(payload, color))
 
@@ -231,6 +235,8 @@ def _cmd_dts(args: argparse.Namespace) -> Output:
 
     if args.n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if args.n_max > MAX_DTS_N:
+        raise ValueError(f"bound too large (maximum {MAX_DTS_N})")
     rows = []
     for n in range(1, args.n_max + 1):
         rs = diff_two_squares(n)
@@ -281,6 +287,8 @@ def _cmd_oracle(args: argparse.Namespace) -> Output:
         payload = {"element": z, "irreducible": oracle_irreducible(z)}
         return payload, lambda p, color: _lines(f"irreducible  {_flag(p['irreducible'], color)}")
     if args.mode == "prime":
+        if args.box > MAX_ORACLE_BOX:
+            raise ValueError(f"bound too large (maximum {MAX_ORACLE_BOX})")
         res = oracle_prime(z, args.box)
         payload = {"element": z, "verdict": res.verdict.value, "witness": res.witness or None}
         return payload, _render_oracle_prime

@@ -23,7 +23,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -68,20 +67,73 @@ class RingKind(Enum):
             raise WrongRingError(f"unknown ring symbol {symbol!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class Element:
+class _Record:
+    """An immutable record over its ``__slots__``, as a frozen dataclass behaves.
+
+    Fields compare, hash and print in slot order, as ``Name(field=value, ...)``,
+    and only a record of the same class compares equal.  Each subclass writes
+    its own ``__init__``, which checks its arguments and stores the fields with
+    :data:`_setfield` (``Element`` with its slots' setters); pickle and copy
+    rebuild a record through that ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._astuple()
+
+
+# object's own __setattr__, which gets past a record's frozen one; a module
+# global is one lookup cheaper per field than ``object.__setattr__``
+_setfield = object.__setattr__
+
+
+class Element(_Record):
     """An exact point ``x + θy`` of one of the three rings."""
 
+    __slots__ = __match_args__ = ("kind", "x", "y")
     kind: RingKind
     x: int
     y: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, RingKind):
-            raise TypeError(f"kind must be a RingKind, got {self.kind!r}")
+    def __init__(self, kind: RingKind, x: int, y: int) -> None:
+        if not isinstance(kind, RingKind):
+            raise TypeError(f"kind must be a RingKind, got {kind!r}")
         # exactly int: bool and other int subclasses would leak into str and repr
-        if type(self.x) is not int or type(self.y) is not int:
+        if type(x) is not int or type(y) is not int:
             raise TypeError("coordinates must be exact ints")
+        _set_kind(self, kind)
+        _set_x(self, x)
+        _set_y(self, y)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Element:
+            return self.kind is other.kind and self.x == other.x and self.y == other.y
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.x, self.y))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -259,9 +311,10 @@ class Element:
         return f"Element({self.kind.name}, {self.x}, {self.y})"
 
 
-# Ring operations build their results through _mk: their coordinates are ints
-# by construction, so the validation in Element.__post_init__ is skipped.  The
-# slots' own setters get past the frozen dataclass's __setattr__.
+# Element.__init__ and _mk store the fields through the slots' own setters,
+# which get past the record's frozen __setattr__.  Ring operations build their
+# results through _mk: their coordinates are ints by construction, so the
+# validation in Element.__init__ is skipped.
 _new = object.__new__
 _set_kind, _set_x, _set_y = (Element.__dict__[f].__set__ for f in ("kind", "x", "y"))
 
@@ -273,23 +326,6 @@ def _mk(kind: RingKind, x: int, y: int) -> Element:
     _set_x(z, x)
     _set_y(z, y)
     return z
-
-
-@dataclass(frozen=True, slots=True)
-class Classification:
-    """Joint unit / zero-divisor / prime / irreducible verdict for one element.
-
-    Prime, irreducible and reducible are meaningful only for non-zero
-    non-units; for zero and for units all three are False.  For non-zero
-    non-units ``is_reducible == not is_irreducible``.
-    """
-
-    is_zero: bool
-    is_unit: bool
-    is_zero_divisor: bool
-    is_prime: bool
-    is_irreducible: bool
-    is_reducible: bool
 
 
 # -- constructors ----------------------------------------------------------

@@ -10,7 +10,6 @@ machinery below splits any finitely generated ideal into a principal part
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .core import (
@@ -19,6 +18,8 @@ from .core import (
     RingError,
     RingKind,
     _mk,
+    _Record,
+    _setfield,
     diagonal_coords,
     from_diagonal_coords,
 )
@@ -32,12 +33,16 @@ class EuclidInvariantError(RingError):
     """A result broke a guarantee of the division algorithm or the ideal descent."""
 
 
-@dataclass(frozen=True, slots=True)
-class DivResult:
+class DivResult(_Record):
     """Quotient and remainder with ``a == quotient*b + remainder``."""
 
+    __slots__ = __match_args__ = ("quotient", "remainder")
     quotient: Element
     remainder: Element
+
+    def __init__(self, quotient: Element, remainder: Element) -> None:
+        _setfield(self, "quotient", quotient)
+        _setfield(self, "remainder", remainder)
 
 
 def div_rem(a: Element, b: Element) -> DivResult:
@@ -118,20 +123,22 @@ def divides(b: Element, a: Element) -> Element | None:
 # -- finitely generated ideals ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class FGIdeal:
+class FGIdeal(_Record):
     """Finitely generated ideal, given by a nonempty generator tuple."""
 
+    __slots__ = __match_args__ = ("kind", "generators")
     kind: RingKind
     generators: tuple[Element, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if not self.generators:
+    def __init__(self, kind: RingKind, generators: tuple[Element, ...]) -> None:
+        generators = tuple(generators)
+        if not generators:
             raise ValueError("an ideal needs at least one generator (use 0 for the zero ideal)")
-        for g in self.generators:
-            if g.kind is not self.kind:
+        for g in generators:
+            if g.kind is not kind:
                 raise KindMismatchError("all generators must live in the ideal's ring")
+        _setfield(self, "kind", kind)
+        _setfield(self, "generators", generators)
 
     @classmethod
     def of(cls, *generators: Element) -> FGIdeal:
@@ -140,8 +147,7 @@ class FGIdeal:
         return cls(generators[0].kind, tuple(generators))
 
 
-@dataclass(frozen=True)
-class IdealDecomposition:
+class IdealDecomposition(_Record):
     """An ideal written as ``(α) + (its intersection with the zero divisors)``.
 
     ``alpha`` is None when the ideal lies inside the zero-divisor set.  The
@@ -151,11 +157,21 @@ class IdealDecomposition:
     ``k``); 0 means that line meets the ideal in {0} alone.
     """
 
+    __slots__ = __match_args__ = ("kind", "alpha", "dplus_gen", "dminus_gen", "d0_gen")
     kind: RingKind
     alpha: Element | None
     dplus_gen: int
     dminus_gen: int
     d0_gen: int
+
+    def __init__(
+        self, kind: RingKind, alpha: Element | None, dplus_gen: int, dminus_gen: int, d0_gen: int
+    ) -> None:
+        _setfield(self, "kind", kind)
+        _setfield(self, "alpha", alpha)
+        _setfield(self, "dplus_gen", dplus_gen)
+        _setfield(self, "dminus_gen", dminus_gen)
+        _setfield(self, "d0_gen", d0_gen)
 
 
 def _descend(gens: list[Element], alpha: Element) -> tuple[Element, list[Element]]:

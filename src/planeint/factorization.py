@@ -32,10 +32,8 @@ reaches, down to the choice among the non-unique factorizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .classification import is_irreducible
-from .core import Element, RingError, RingKind, _mk, diagonal_coords, from_diagonal_coords
+from .core import Element, RingError, RingKind, _mk, _Record, _setfield, diagonal_coords, from_diagonal_coords
 from .euclid import divides
 from .integers import int_factor, sum_two_squares, two_adic_valuation
 
@@ -141,8 +139,7 @@ def split(a: Element) -> tuple[Element, Element] | None:
 # -- full factorization -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Record):
     """``unit * product(factors) == value``, every factor irreducible and canonical.
 
     ``axis_extension`` flags the parabolic zero divisors, whose
@@ -150,9 +147,15 @@ class Factorization:
     guarantee that covers elements of nonzero norm.
     """
 
+    __slots__ = __match_args__ = ("unit", "factors", "axis_extension")
     unit: Element
     factors: tuple[Element, ...]
-    axis_extension: bool = field(default=False)
+    axis_extension: bool
+
+    def __init__(self, unit: Element, factors: tuple[Element, ...], axis_extension: bool = False) -> None:
+        _setfield(self, "unit", unit)
+        _setfield(self, "factors", factors)
+        _setfield(self, "axis_extension", axis_extension)
 
     def product(self) -> Element:
         acc = self.unit

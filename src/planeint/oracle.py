@@ -22,7 +22,6 @@ Enumeration strategies, one per ring:
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 
@@ -30,6 +29,8 @@ from .core import (
     Element,
     RingError,
     RingKind,
+    _Record,
+    _setfield,
     diagonal_coords,
     from_diagonal_coords,
 )
@@ -46,10 +47,16 @@ class Verdict(Enum):
     NO_COUNTEREXAMPLE_FOUND = "no_counterexample_found"
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(_Record):
+    """A brute-force verdict, with the factor pair that refutes primality or irreducibility."""
+
+    __slots__ = __match_args__ = ("verdict", "witness")
     verdict: Verdict
-    witness: tuple[Element, Element] | None = None
+    witness: tuple[Element, Element] | None
+
+    def __init__(self, verdict: Verdict, witness: tuple[Element, Element] | None = None) -> None:
+        _setfield(self, "verdict", verdict)
+        _setfield(self, "witness", witness)
 
 
 def _int_divisors(n: int) -> list[int]:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import RingKind
+from .core import RingKind, _Record, _setfield
 
 RationalLike = Fraction | int | str
 
@@ -25,16 +24,16 @@ def _frac(value: RationalLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-@dataclass(frozen=True)
-class GeneralParams:
+class GeneralParams(_Record):
     """Structure constants of ``θ² = α + θβ``."""
 
+    __slots__ = __match_args__ = ("alpha", "beta")
     alpha: Fraction
     beta: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _frac(self.alpha))
-        object.__setattr__(self, "beta", _frac(self.beta))
+    def __init__(self, alpha: RationalLike, beta: RationalLike) -> None:
+        _setfield(self, "alpha", _frac(alpha))
+        _setfield(self, "beta", _frac(beta))
 
     @property
     def disc(self) -> Fraction:
@@ -46,18 +45,18 @@ class GeneralParams:
         return _kind_of_disc(self.disc)
 
 
-@dataclass(frozen=True)
-class QuadraticPoly:
+class QuadraticPoly(_Record):
     """Coefficients of ``ax² + bx + c`` with ``a != 0``."""
 
+    __slots__ = __match_args__ = ("a", "b", "c")
     a: Fraction
     b: Fraction
     c: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
-        object.__setattr__(self, "c", _frac(self.c))
+    def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike) -> None:
+        _setfield(self, "a", _frac(a))
+        _setfield(self, "b", _frac(b))
+        _setfield(self, "c", _frac(c))
         if self.a == 0:
             raise ValueError("degenerate polynomial: leading coefficient is zero")
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,27 @@ class TestCommands:
     def test_table_bound_too_large(self, capsys):
         rc, _, err = run(capsys, "table", "--ring", "j", "--bound", "5000")
         assert rc == 1 and "bound too large" in err
+
+    @pytest.mark.parametrize(
+        "argv, maximum",
+        [
+            ("dts 100001", 100_000),
+            ("--json dts " + "9" * 40, 100_000),
+            ("oracle prime 3+2i --box 17", 16),
+            ("--json oracle prime 2 --ring j --box " + "9" * 40, 16),
+        ],
+    )
+    def test_bound_refused_before_any_work(self, capsys, argv, maximum):
+        start = time.perf_counter()
+        result = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 1
+        assert result == (1, "", f"error: bound too large (maximum {maximum})\n")
+
+    def test_box_bound_holds_for_prime_mode_only(self, capsys):
+        # at the bound the scan runs; it refutes 5+2j at once with the diagonal pair
+        rc, out, _ = run(capsys, "oracle", "prime", "5+2j", "--box", "16")
+        assert (rc, out) == (0, "verdict  refuted\nwitness  1+1j, 1-1j\n")
+        assert run(capsys, "oracle", "divisors", "12+6k", "--box", "17")[0] == 0
 
     def test_parse_error_exit_code(self, capsys):
         rc, _, err = run(capsys, "classify", "wat")
@@ -519,13 +541,14 @@ ARGV_TOKEN = st.one_of(
 def _has_budget(argv):
     """Whether argv stays inside the sizes the CLI finishes in seconds.
 
-    Until ROADMAP item 5's budgets land, some work grows without a limit
-    the CLI enforces: ``dts`` and ``table`` with their bound, ``oracle
-    prime`` with the fourth power of ``--box`` (5.6 s at 20), ``oracle`` with
-    the element, and ``classify``/``factor`` with the norm, because primality
-    past ψ13 ≈ 3.3·10²⁴ is O(√n) trial division (ROADMAP item 3).  So those
-    argv keep n_max and --bound <= 50, --box <= 6, oracle coordinates <= 200
-    and classify/factor coordinates <= 10¹², whose norms stay below ψ13.
+    ``table``, ``dts`` and ``oracle prime`` refuse a bound past 100, 100,000
+    and 16, but near those bounds a run takes up to two seconds, too long
+    for hundreds of examples.  Other work still grows without a limit the CLI
+    enforces: ``oracle`` with the element, and ``classify``/``factor`` with
+    the norm, because primality past ψ13 ≈ 3.3·10²⁴ is O(√n) trial division
+    (ROADMAP item 2).  So those argv keep n_max and --bound <= 50, --box <= 6,
+    oracle coordinates <= 200 and classify/factor coordinates <= 10¹², whose
+    norms stay below ψ13.
     ``classify-poly`` needs no guard: a coefficient whose digits plus
     exponent pass the literal limit is refused before ``Fraction`` reads it.
     """

@@ -5,6 +5,7 @@ imports the modules it uses.  This process has imported every submodule by
 now, so each load check runs in a fresh interpreter.
 """
 
+import ast
 import contextlib
 import importlib
 import io
@@ -66,6 +67,48 @@ class TestWhatLoads:
         )
         assert (proc.returncode, proc.stdout) == (0, b"eta 144\neta_plus 144\ntrace 24\n"), proc.stderr
         assert loaded == {"planeint", "planeint.core"}
+
+
+# argv of the benchmark's cli mix whose handlers need no Classification, the
+# package's one dataclass
+NO_DATACLASS_ARGV = (
+    "norm 12-5k",
+    "divmod 27+5j 4+1j",
+    "ideal 6+4j 10+2j --contains 4+2j",
+    "oracle divisors 12+6k",
+    "dts 200",
+    "classify-poly 1 -3 2",
+)
+
+
+@pytest.mark.parametrize("argv", NO_DATACLASS_ARGV)
+def test_cli_child_loads_no_dataclasses(argv):
+    """``dataclasses`` imports ``inspect`` (and ``ast``, ``dis``, ``tokenize``): a fixed cost of every child."""
+    proc = child(
+        "-c",
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('planeint.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    sys.stderr.write('\\n' + ' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))\n",
+        *argv.split(),
+    )
+    assert proc.returncode == 0 and proc.stderr == b"\n", proc.stderr
+
+
+def test_only_classification_imports_dataclasses():
+    importers = set()
+    for path in sorted((SRC / "planeint").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                importers.add(path.name)
+    assert importers == {"classification.py"}
 
 
 class TestPackageNames:
