@@ -33,11 +33,13 @@ class RealElement(_Record):
     y: float
 
     def __init__(self, kind: RingKind, x: float, y: float) -> None:
+        if not isinstance(kind, RingKind):
+            raise TypeError(f"kind must be a RingKind, got {kind!r}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError("coordinates must be finite")
         _setfield(self, "kind", kind)
         _setfield(self, "x", x)
         _setfield(self, "y", y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError("coordinates must be finite")
 
     def __add__(self, other: RealElement) -> RealElement:
         self._check(other)

@@ -20,10 +20,13 @@ from collections.abc import Callable, Iterable
 from .core import Element, RingError, RingKind, format_element, norm_data
 
 # bounds on the arguments that work grows with: as the square of table's
-# bound, the fourth power of oracle prime's box and linearly in dts's n_max
+# bound, the fourth power of oracle prime's box, linearly in dts's n_max, and
+# with the coordinates in the divisors and irreducible oracles (an axis
+# element ky of the parabolic ring has σ(y) candidate divisors)
 MAX_TABLE_BOUND = 100
 MAX_DTS_N = 100_000
 MAX_ORACLE_BOX = 16
+MAX_ORACLE_COORD = 10**5
 
 Output = tuple[dict, Callable[[dict, bool], str]]  # (payload, render(payload, color))
 
@@ -141,6 +144,14 @@ def _ring_arg(args: argparse.Namespace) -> RingKind | None:
     return RingKind.from_symbol(args.ring) if args.ring else None
 
 
+def _check_bound(value: int, least: int, maximum: int, name: str, what: str = "bound") -> None:
+    """Refuse an argument outside [least, maximum] before any work is done."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if value > maximum:
+        raise ValueError(f"{what} too large (maximum {maximum})")
+
+
 # -- subcommand handlers --------------------------------------------------------
 # Each computes its results once and returns the --json payload (integers as
 # decimal strings, elements as Element) and the renderer of its text output.
@@ -233,10 +244,7 @@ _DTS_COLUMNS = ("n", "two_adic", "representable", "r", "s")
 def _cmd_dts(args: argparse.Namespace) -> Output:
     from .integers import diff_two_squares, two_adic_valuation
 
-    if args.n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if args.n_max > MAX_DTS_N:
-        raise ValueError(f"bound too large (maximum {MAX_DTS_N})")
+    _check_bound(args.n_max, 1, MAX_DTS_N, "n_max")
     rows = []
     for n in range(1, args.n_max + 1):
         rs = diff_two_squares(n)
@@ -283,12 +291,13 @@ def _cmd_oracle(args: argparse.Namespace) -> Output:
     from .oracle import divisors, oracle_irreducible, oracle_prime
 
     z = parse_element(args.element, _ring_arg(args))
+    if args.mode != "prime":
+        _check_bound(max(abs(z.x), abs(z.y)), 0, MAX_ORACLE_COORD, "coordinate", "coordinate")
     if args.mode == "irreducible":
         payload = {"element": z, "irreducible": oracle_irreducible(z)}
         return payload, lambda p, color: _lines(f"irreducible  {_flag(p['irreducible'], color)}")
     if args.mode == "prime":
-        if args.box > MAX_ORACLE_BOX:
-            raise ValueError(f"bound too large (maximum {MAX_ORACLE_BOX})")
+        _check_bound(args.box, 0, MAX_ORACLE_BOX, "box")
         res = oracle_prime(z, args.box)
         payload = {"element": z, "verdict": res.verdict.value, "witness": res.witness or None}
         return payload, _render_oracle_prime
@@ -363,8 +372,7 @@ def _cmd_exp_pow(args: argparse.Namespace) -> Output:
 def _cmd_table(args: argparse.Namespace) -> Output:
     from .classification import classify
 
-    if args.bound > MAX_TABLE_BOUND:
-        raise ValueError(f"bound too large (maximum {MAX_TABLE_BOUND})")
+    _check_bound(args.bound, 0, MAX_TABLE_BOUND, "bound")
     kind = RingKind.from_symbol(args.ring)
     b = args.bound
     rows = []

@@ -3,9 +3,14 @@
 The division algorithm works in all three rings as long as the divisor has
 nonzero norm: divide exactly over rationals, round each coordinate to a
 nearest integer, and the remainder's absolute norm drops to at most half the
-divisor's.  Zero divisors need separate handling everywhere; the ideal
-machinery below splits any finitely generated ideal into a principal part
-``(α)`` plus its intersection with the zero-divisor set.
+divisor's.  Zero divisors need separate handling everywhere.
+
+A finitely generated ideal splits into a principal part ``(α)``, with α of
+least nonzero norm, plus its intersection with the zero-divisor set.
+Elliptic and parabolic ideals find α by Euclidean descent over the
+generators.  Hyperbolic ideals have a closed form in the diagonal
+coordinates (x+y, x−y): α and the diagonal generators follow from two gcds
+and one parity bit (see :func:`decompose`).
 """
 
 from __future__ import annotations
@@ -192,114 +197,59 @@ def _descend(gens: list[Element], alpha: Element) -> tuple[Element, list[Element
             return alpha, residues
 
 
-def _coset_min(c: int, d: int) -> tuple[int, int]:
-    """``(abs_value, representative)`` of the least nonzero ``|m|``, m in ``c + dZ`` (d >= 1)."""
-    r = c % d
-    if r == 0:
-        return d, d
-    if 2 * r <= d:
-        return r, r
-    return d - r, r - d
-
-
-def _diag_gcds(residues: list[Element]) -> tuple[int, int]:
-    """gcds of the diagonal coordinates (u for the + line, v for the - line)."""
-    a = b = 0
-    for r in residues:  # zero adds nothing to either gcd
-        u, v = diagonal_coords(r)
-        if v == 0:
-            a = gcd(a, u)
-        else:
-            b = gcd(b, v)
-    return a, b
-
-
-def _hyperbolic_improvement(alpha: Element, residues: list[Element]) -> Element | None:
-    """A smaller-norm ideal element off the diagonals, if one exists.
-
-    At this point the ideal equals ``(α) + Σ(ρᵢ)``, which in diagonal
-    coordinates is ``{(s·u₀ + mA, t·v₀ + nB) : s ≡ t (mod 2)}`` with A, B the
-    residue gcds.  Minimizing ``|uv|`` over that set reduces to two coset-gcd
-    problems (s, t both even or both odd), so the exact minimum is a formula.
-    """
-    u0, v0 = diagonal_coords(alpha)
-    a_gcd, b_gcd = _diag_gcds(residues)
-    gu = gcd(2 * u0, a_gcd)
-    gv = gcd(2 * v0, b_gcd)
-    even_norm = gu * gv
-    mu_abs, mu_val = _coset_min(u0, gu)
-    mv_abs, mv_val = _coset_min(v0, gv)
-    odd_norm = mu_abs * mv_abs
-    if min(even_norm, odd_norm) >= alpha.eta_plus:
-        return None
-    if even_norm <= odd_norm:
-        return from_diagonal_coords(gu, gv)
-    return from_diagonal_coords(mu_val, mv_val)
-
-
-def _pure_zero_divisor_part(kind: RingKind, gens: list[Element]) -> IdealDecomposition:
-    if kind is RingKind.PARABOLIC:
-        return IdealDecomposition(kind, None, 0, 0, gcd(*(g.y for g in gens)))
-    # hyperbolic: the generators lie on a single diagonal, where t(1±j) has diagonal coordinate 2t
-    gp, gm = _diag_gcds(gens)
-    return IdealDecomposition(kind, None, gp // 2, gm // 2, 0)
-
-
 def decompose(ideal: FGIdeal) -> IdealDecomposition:
-    """Split an ideal as ``(α) + (zero-divisor part)``.
+    """Split an ideal as ``(α) + (zero-divisor part)``, with α of least nonzero norm.
 
-    α is found by Euclidean descent over the generators, restarted whenever a
-    smaller-norm candidate appears; in the hyperbolic ring the restart is also
-    fed by the exact coset-gcd minimizer, so the final α attains the minimal
-    nonzero norm in the ideal.  That minimality is what makes the membership
-    test in :func:`ideal_contains` exact.
+    That minimality is what makes the membership test in
+    :func:`ideal_contains` exact.  Elliptic and parabolic ideals find α by
+    Euclidean descent from the generator of least norm.
+
+    Hyperbolic ideals have a closed form.  In the diagonal coordinates
+    (u, v) = (x+y, x−y) the product is componentwise and η = uv.  Put
+    (uᵢ, vᵢ) for the nonzero generators gᵢ: the ideal is the ℤ-span of the
+    (uᵢ, vᵢ) and j·gᵢ = (uᵢ, −vᵢ).  Let P = gcd(uᵢ) and Q = gcd(vᵢ).  If P or
+    Q is 0, every generator lies on one diagonal, where t(1±j) has diagonal
+    coordinate 2t: there is no α, and the diagonal generators are P/2 and
+    Q/2.  Otherwise the span projects onto Pℤ and Qℤ and contains (2uᵢ, 0)
+    and (0, 2vᵢ), so by Goursat's lemma its index k in Pℤ×Qℤ divides 2;
+    k = 2 exactly when every uᵢ/P ≡ vᵢ/Q (mod 2), and the span is then
+    {u/P ≡ v/Q (mod 2)}.  Either way (P, Q) lies in the ideal, and as P | u
+    and Q | v for every element, its norm PQ is the least nonzero |uv| there:
+    α = (P, Q), already canonical as P, Q > 0.  The diagonals meet the ideal
+    in (kPℤ, 0) and (0, kQℤ), so the diagonal generators are kP/2 and kQ/2.
+
+    In every ring α is checked at runtime, also under ``python -O``: a descent
+    from α that finds a smaller norm raises :class:`EuclidInvariantError`.
     """
     kind = ideal.kind
     gens = [g for g in ideal.generators if g]
     if not gens:
         return IdealDecomposition(kind, None, 0, 0, 0)
 
-    alpha: Element | None = None
-    for g in gens:
-        if g.eta != 0 and (alpha is None or g.eta_plus < alpha.eta_plus):
-            alpha = g
-    if alpha is None and kind is RingKind.HYPERBOLIC:
-        plus = [g for g in gens if g.x == g.y]
-        minus = [g for g in gens if g.x == -g.y]
-        if plus and minus:
-            alpha = plus[0] + minus[0]  # escapes the diagonals
-    if alpha is None:
-        return _pure_zero_divisor_part(kind, gens)
+    if kind is RingKind.HYPERBOLIC:
+        uvs = [diagonal_coords(g) for g in gens]
+        p = gcd(*(u for u, _ in uvs))
+        q = gcd(*(v for _, v in uvs))
+        if not (p and q):
+            return IdealDecomposition(kind, None, p // 2, q // 2, 0)
+        k = 2 if all((u // p - v // q) % 2 == 0 for u, v in uvs) else 1
+        alpha = from_diagonal_coords(p, q)
+    else:
+        alpha = min((g for g in gens if g.eta), key=lambda g: g.eta_plus, default=None)
+        if alpha is None:  # parabolic: every generator lies on the axis
+            return IdealDecomposition(kind, None, 0, 0, gcd(*(g.y for g in gens)))
+        alpha = _descend(gens, alpha)[0].canonical_associate()[0]
 
-    while True:
-        alpha, residues = _descend(gens, alpha)
-        if kind is not RingKind.HYPERBOLIC:
-            break
-        better = _hyperbolic_improvement(alpha, residues)
-        if better is None:
-            break
-        alpha = better
-
-    alpha = alpha.canonical_associate()[0]
     alpha2, residues = _descend(gens, alpha)
     if alpha2 != alpha:
         raise EuclidInvariantError(f"descent found {alpha2} below {alpha}: α was not minimal")
-
+    if kind is RingKind.HYPERBOLIC:
+        return IdealDecomposition(kind, alpha, k * p // 2, k * q // 2, 0)
     if kind is RingKind.ELLIPTIC:
         if any(residues):
             raise EuclidInvariantError(f"nonzero elliptic residues {residues} after descent")
         return IdealDecomposition(kind, alpha, 0, 0, 0)
-    if kind is RingKind.PARABOLIC:
-        return IdealDecomposition(kind, alpha, 0, 0, gcd(alpha.x, *(r.y for r in residues)))
-
-    # hyperbolic: project the parametrized ideal onto each diagonal.  The
-    # parity coupling of the α-multiplier decides whether odd multiples
-    # contribute, hence the two gcd variants per line.
-    u0, v0 = diagonal_coords(alpha)
-    a_gcd, b_gcd = _diag_gcds(residues)
-    w_plus = gcd(u0 if b_gcd and (b_gcd // gcd(b_gcd, v0)) % 2 else 2 * u0, a_gcd)
-    w_minus = gcd(v0 if a_gcd and (a_gcd // gcd(a_gcd, u0)) % 2 else 2 * v0, b_gcd)
-    return IdealDecomposition(kind, alpha, w_plus // 2, w_minus // 2, 0)
+    return IdealDecomposition(kind, alpha, 0, 0, gcd(alpha.x, *(r.y for r in residues)))
 
 
 def ideal_contains(dec: IdealDecomposition, z: Element) -> bool:

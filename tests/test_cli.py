@@ -217,6 +217,18 @@ class TestCommands:
         assert time.perf_counter() - start < 1
         assert result == (1, "", f"error: bound too large (maximum {maximum})\n")
 
+    @pytest.mark.parametrize("argv", ["oracle divisors 1000000000000k", "oracle irreducible 7-200001j"])
+    def test_coordinate_refused_before_any_work(self, capsys, argv):
+        start = time.perf_counter()
+        result = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 1
+        assert result == (1, "", "error: coordinate too large (maximum 100000)\n")
+
+    def test_least_bounds_accepted(self, capsys):
+        assert run(capsys, "table", "--ring", "j", "--bound", "0")[0] == 0
+        assert run(capsys, "oracle", "irreducible", "100000k") == (0, "irreducible  no\n", "")
+        assert run(capsys, "oracle", "irreducible", "-100000+99999j") == (0, "irreducible  yes\n", "")
+
     def test_box_bound_holds_for_prime_mode_only(self, capsys):
         # at the bound the scan runs; it refutes 5+2j at once with the diagonal pair
         rc, out, _ = run(capsys, "oracle", "prime", "5+2j", "--box", "16")
@@ -354,6 +366,13 @@ class TestGoldenOutput:
             ("classify 7", 2, "", "error: '7' is a bare integer; pass --ring i|j|k to pick its ring\n"),
             ("factor 3+3j", 1, "", "error: hyperbolic zero divisors have no irreducible factorization\n"),
             ("table --ring j --bound 5000", 1, "", "error: bound too large (maximum 100)\n"),
+            ("table --ring j --bound -3", 1, "", "error: bound must be >= 0\n"),
+            ("oracle prime 3+2i --box -5", 1, "", "error: box must be >= 0\n"),
+            ("oracle prime 3+2i --box 0", 0, "verdict  no_counterexample_found\n", ""),
+            ("dts 0", 1, "", "error: n_max must be >= 1\n"),
+            ("oracle divisors 100001k", 1, "", "error: coordinate too large (maximum 100000)\n"),
+            ("oracle irreducible 5-100001i", 1, "", "error: coordinate too large (maximum 100000)\n"),
+            ("--json oracle divisors -100001+2j", 1, "", "error: coordinate too large (maximum 100000)\n"),
             ("pow 1 1 2 --ring j", 1, "", "error: 1.0+1.0j is outside the sector eta > 0, x > 0\n"),
             (
                 "classify-poly 1 0 1e400",
@@ -542,13 +561,13 @@ def _has_budget(argv):
     """Whether argv stays inside the sizes the CLI finishes in seconds.
 
     ``table``, ``dts`` and ``oracle prime`` refuse a bound past 100, 100,000
-    and 16, but near those bounds a run takes up to two seconds, too long
-    for hundreds of examples.  Other work still grows without a limit the CLI
-    enforces: ``oracle`` with the element, and ``classify``/``factor`` with
-    the norm, because primality past ψ13 ≈ 3.3·10²⁴ is O(√n) trial division
-    (ROADMAP item 2).  So those argv keep n_max and --bound <= 50, --box <= 6,
-    oracle coordinates <= 200 and classify/factor coordinates <= 10¹², whose
-    norms stay below ψ13.
+    and 16, and ``oracle divisors``/``irreducible`` a coordinate past 10⁵,
+    but near those bounds a run takes up to two seconds, too long for
+    hundreds of examples.  ``classify``/``factor`` work still grows with the
+    norm without a limit the CLI enforces, because primality past
+    ψ13 ≈ 3.3·10²⁴ is O(√n) trial division (ROADMAP item 2).  So those argv
+    keep n_max and --bound <= 50, --box <= 6, oracle coordinates <= 200 and
+    classify/factor coordinates <= 10¹², whose norms stay below ψ13.
     ``classify-poly`` needs no guard: a coefficient whose digits plus
     exponent pass the literal limit is refused before ``Fraction`` reads it.
     """

@@ -182,6 +182,8 @@ class TestDecompose:
                         assert ideal_contains(dec, z) == lattice_contains(basis, z), (
                             gens, z,
                         )
+                if kind is RingKind.HYPERBOLIC:
+                    _check_hyperbolic_against_lattice(dec, basis, gens)
 
     def test_against_bounded_combination_search(self):
         # the literal coefficient-box oracle, feasible for two generators
@@ -211,6 +213,34 @@ class TestDecompose:
             FGIdeal(RingKind.HYPERBOLIC, (K(1, 0),))
         with pytest.raises(KindMismatchError):
             ideal_contains(decompose(FGIdeal.of(H(2, 0))), K(2, 0))
+
+
+def _least_on_line(basis, sign):
+    """Least t > 0 with t(1 + sign·j) in the lattice, or 0 when there is none.
+
+    A full-rank lattice contains det·ℤ², so searching to its determinant is
+    exhaustive; a lower-rank hyperbolic ideal is spanned by diagonal
+    generators of coordinates at most 8, so 24 covers it.
+    """
+    a, _, c = basis
+    for t in range(1, max(abs(a * c), 24) + 1):
+        if lattice_contains(basis, H(t, sign * t)):
+            return t
+    return 0
+
+
+def _check_hyperbolic_against_lattice(dec, basis, gens):
+    """α is a least-norm point of the lattice; the diagonal generators are the least on each line."""
+    if dec.alpha is not None:
+        assert lattice_contains(basis, dec.alpha), (gens, dec)
+    least = dec.alpha.eta_plus if dec.alpha is not None else None
+    for x in range(-24, 25):
+        for y in range(-24, 25):
+            z = H(x, y)
+            if z.eta and lattice_contains(basis, z):
+                assert least is not None and z.eta_plus >= least, (gens, dec, z)
+    assert dec.dplus_gen == _least_on_line(basis, 1), (gens, dec)
+    assert dec.dminus_gen == _least_on_line(basis, -1), (gens, dec)
 
 
 def d_ideal_is_prime_witness(kind: RingKind, trials: int = 1000, seed: int = 0) -> bool:
@@ -456,6 +486,14 @@ class TestInvariantChecks:
         monkeypatch.setattr(euclid, "_descend", lazy_first)
         with pytest.raises(EuclidInvariantError, match="not minimal"):
             decompose(FGIdeal.of(C(5, 0), C(3, 0)))
+
+    def test_hyperbolic_closed_form_minimality(self, monkeypatch):
+        # a closed form that doubled both diagonal coordinates would give α = (6, 2),
+        # four times the least norm of the ideal (2 + j) = (3, 1)
+        real = euclid.from_diagonal_coords
+        monkeypatch.setattr(euclid, "from_diagonal_coords", lambda u, v: real(2 * u, 2 * v))
+        with pytest.raises(EuclidInvariantError, match="not minimal"):
+            decompose(FGIdeal.of(H(2, 1)))
 
     def test_elliptic_residues(self, monkeypatch):
         monkeypatch.setattr(euclid, "_descend", lambda gens, alpha: (alpha, [C(0, 1)]))

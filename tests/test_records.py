@@ -224,6 +224,12 @@ class TestChecks:
         with pytest.raises(ValueError, match="coordinates must be finite"):
             RealElement(E, *coords)
 
+    def test_real_element_kind(self):
+        # checked before the coordinates, with Element's message
+        for coords in ((1.0, 2.0), (math.nan, 0.0)):
+            with pytest.raises(TypeError, match="^kind must be a RingKind, got 'j'$"):
+                RealElement("j", *coords)
+
     def test_quadratic_poly_degree(self):
         with pytest.raises(ValueError, match="leading coefficient is zero"):
             QuadraticPoly(0, 1, 1)
