@@ -13,6 +13,8 @@ magnitudes >= 1, absolute 1e-12 below.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 
 from .core import RingError, RingKind, _Record, _setfield
 
@@ -89,14 +91,33 @@ class PolarForm(_Record):
         )
 
 
+def _in_float_range(kind: RingKind, coords: Callable[[], tuple[float, float]]) -> RealElement:
+    """The element at ``coords()``; OverflowError when a coordinate leaves the float range."""
+    try:
+        x, y = coords()
+    except OverflowError:  # math.exp, cosh and float ** raise where + and * give inf
+        x = y = math.inf
+    if not (math.isfinite(x) and math.isfinite(y)):
+        limit = sys.float_info.max
+        raise OverflowError(f"result out of float range: |x| and |y| must be at most {limit:.4g}")
+    return RealElement(kind, x, y)
+
+
 def exp_theta(z: RealElement) -> RealElement:
-    """The ring-appropriate exponential; satisfies exp(z+w) = exp(z)·exp(w)."""
-    scale = math.exp(z.x)  # propagates OverflowError for huge x
-    if z.kind is RingKind.ELLIPTIC:
-        return RealElement(z.kind, scale * math.cos(z.y), scale * math.sin(z.y))
-    if z.kind is RingKind.HYPERBOLIC:
-        return RealElement(z.kind, scale * math.cosh(z.y), scale * math.sinh(z.y))
-    return RealElement(z.kind, scale, scale * z.y)
+    """The ring-appropriate exponential; satisfies exp(z+w) = exp(z)·exp(w).
+
+    Raises OverflowError when the result is outside the float range.
+    """
+
+    def coords() -> tuple[float, float]:
+        scale = math.exp(z.x)
+        if z.kind is RingKind.ELLIPTIC:
+            return scale * math.cos(z.y), scale * math.sin(z.y)
+        if z.kind is RingKind.HYPERBOLIC:
+            return scale * math.cosh(z.y), scale * math.sinh(z.y)
+        return scale, scale * z.y
+
+    return _in_float_range(z.kind, coords)
 
 
 def polar_decompose(z: RealElement) -> PolarForm:
@@ -109,12 +130,13 @@ def polar_decompose(z: RealElement) -> PolarForm:
 
 
 def pow_moivre(z: RealElement, n: int) -> RealElement:
-    """``z^n = (√η)^n (cosh nα + j sinh nα)``; n may be negative inside the sector."""
+    """``z^n = (√η)^n (cosh nα + j sinh nα)``; n may be negative inside the sector.
+
+    Raises OverflowError when the result is outside the float range.
+    """
     p = polar_decompose(z)
-    return RealElement(
-        z.kind,
-        p.r**n * math.cosh(n * p.alpha),
-        p.r**n * math.sinh(n * p.alpha),
+    return _in_float_range(
+        z.kind, lambda: (p.r**n * math.cosh(n * p.alpha), p.r**n * math.sinh(n * p.alpha))
     )
 
 

@@ -7,15 +7,15 @@ divisor's.  Zero divisors need separate handling everywhere.
 
 A finitely generated ideal splits into a principal part ``(α)``, with α of
 least nonzero norm, plus its intersection with the zero-divisor set.
-Elliptic and parabolic ideals find α by Euclidean descent over the
-generators.  Hyperbolic ideals have a closed form in the diagonal
-coordinates (x+y, x−y): α and the diagonal generators follow from two gcds
-and one parity bit (see :func:`decompose`).
+Parabolic ideals find α by Euclidean descent over the generators; Gaussian
+and hyperbolic ideals have closed forms from integer gcds (see
+:func:`decompose`).  Membership is divisibility on coordinates alone (see
+:func:`ideal_contains`).
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 from .core import (
     Element,
@@ -197,12 +197,50 @@ def _descend(gens: list[Element], alpha: Element) -> tuple[Element, list[Element
             return alpha, residues
 
 
+def _gaussian_alpha(gens: list[Element]) -> tuple[Element, int]:
+    """A Gaussian ideal's canonical α and index D, in closed form (see :func:`decompose`)."""
+    pts = [(z.x, z.y) for z in gens]
+    g = gcd(*(c for xy in pts for c in xy))
+    pairs = [(u * x + v * y, u * y - v * x) for j, (x, y) in enumerate(pts) for u, v in pts[:j]]
+    index = gcd(*(x * x + y * y for x, y in pts), *(m for pair in pairs for m in pair))
+    n = index // (g * g)
+    if n == 1:
+        return _mk(RingKind.ELLIPTIC, g, 0), index
+    px = py = 0
+    for vx, vy in (v for x, y in pts for v in ((x // g, y // g), (-y // g, x // g))):
+        # the largest divisor of n prime to py; once py is prime to n, t = n adds nothing
+        t = n // gcd(n, pow(py, n.bit_length(), n))
+        px, py = (px + t * vx) % n, (py + t * vy) % n
+    c = px * pow(py, -1, n) % n
+    r, s = n, c
+    while s * s > n:
+        r, s = s, r % s
+    t = isqrt(n - s * s)
+    if s * s + t * t != n:
+        raise EuclidInvariantError(f"Cornacchia's descent on {n} from {c} left a non-square")
+    t = t if (s - c * t) % n == 0 else -t
+    return _mk(RingKind.ELLIPTIC, g * s, g * t).canonical_associate()[0], index
+
+
 def decompose(ideal: FGIdeal) -> IdealDecomposition:
     """Split an ideal as ``(α) + (zero-divisor part)``, with α of least nonzero norm.
 
     That minimality is what makes the membership test in
-    :func:`ideal_contains` exact.  Elliptic and parabolic ideals find α by
-    Euclidean descent from the generator of least norm.
+    :func:`ideal_contains` exact.  Parabolic ideals find α by Euclidean
+    descent from the generator of least norm.
+
+    Gaussian ideals have a closed form.  The ideal is (α), since ℤ[i] is a
+    PID, and the ℤ-span of the nonzero gᵢ = (xᵢ, yᵢ) and i·gᵢ.  Its content
+    g (gcd of all coordinates) is α's; its index D (gcd of the 2×2 minors
+    N(gᵢ), xᵢxⱼ + yᵢyⱼ and xᵢyⱼ − yᵢxⱼ) is N(α).  So α = g·β with β = s + ti
+    primitive of norm n = D/g², and t is prime to n.  For c = s·t⁻¹ mod n,
+    x ≡ c·y (mod n) is a lattice of index n holding β and iβ: it is (β), and
+    c² ≡ −1.  So c = X·Y⁻¹ for any (X, Y) in (β) with Y prime to n, found by
+    folding in the gᵢ/g and i·gᵢ/g as (X, Y) += t·v, t the largest divisor
+    of n prime to Y: a prime of n stays in Y only if it divides every v's y,
+    and their gcd is 1.  Cornacchia's descent (Basilla 2004 for composite n):
+    the first remainder s of Euclid on (n, c) with s² <= n has n − s² = t²
+    and s ≡ ±c·t (mod n), and the sign that puts s + ti in (β) makes it β.
 
     Hyperbolic ideals have a closed form.  In the diagonal coordinates
     (u, v) = (x+y, x−y) the product is componentwise and η = uv.  Put
@@ -219,7 +257,8 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
     in (kPℤ, 0) and (0, kQℤ), so the diagonal generators are kP/2 and kQ/2.
 
     In every ring α is checked at runtime, also under ``python -O``: a descent
-    from α that finds a smaller norm raises :class:`EuclidInvariantError`.
+    from α that finds a smaller norm raises :class:`EuclidInvariantError`.  A
+    Gaussian α then divides every generator; with norm D it generates the ideal.
     """
     kind = ideal.kind
     gens = [g for g in ideal.generators if g]
@@ -234,6 +273,8 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
             return IdealDecomposition(kind, None, p // 2, q // 2, 0)
         k = 2 if all((u // p - v // q) % 2 == 0 for u, v in uvs) else 1
         alpha = from_diagonal_coords(p, q)
+    elif kind is RingKind.ELLIPTIC:
+        alpha, index = _gaussian_alpha(gens)
     else:
         alpha = min((g for g in gens if g.eta), key=lambda g: g.eta_plus, default=None)
         if alpha is None:  # parabolic: every generator lies on the axis
@@ -248,28 +289,37 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
     if kind is RingKind.ELLIPTIC:
         if any(residues):
             raise EuclidInvariantError(f"nonzero elliptic residues {residues} after descent")
+        if alpha.eta != index:
+            raise EuclidInvariantError(f"N({alpha}) = {alpha.eta} is not the ideal's index {index}")
         return IdealDecomposition(kind, alpha, 0, 0, 0)
     return IdealDecomposition(kind, alpha, 0, 0, gcd(alpha.x, *(r.y for r in residues)))
 
 
 def ideal_contains(dec: IdealDecomposition, z: Element) -> bool:
-    """Membership via the decomposition: reduce by α, then check the zero-divisor part."""
-    if z.kind is not dec.kind:
-        raise KindMismatchError(f"element of {z.kind.name} against a {dec.kind.name} ideal")
-    if dec.alpha is None:
-        r, eta = z, z.eta
-    else:
-        _, _, r, eta = _div_rem(z, dec.alpha)
-    if not r:
-        return True
-    if eta != 0:
-        return False
-    if dec.kind is RingKind.PARABOLIC:
-        return dec.d0_gen != 0 and r.y % dec.d0_gen == 0
-    if dec.kind is RingKind.HYPERBOLIC:
-        g = dec.dplus_gen if r.x == r.y else dec.dminus_gen
-        return g != 0 and r.x % g == 0
-    return False  # elliptic: the only zero divisor is 0
+    """Membership by divisibility on z = x + θy.  With α = a + θb:
+
+    elliptic, a² + b² | z·ᾱ; hyperbolic, (P, Q) | (u, v) in diagonal coordinates,
+    and u/P ≡ v/Q (mod 2) if k = 2, i.e. ``dplus_gen`` is P; parabolic, a | x and
+    ``d0_gen`` | y − b·x/a, as α(c + kd) = ac + k(bc + ad) and ``d0_gen`` | a.
+    """
+    kind = dec.kind
+    if z.kind is not kind:
+        raise KindMismatchError(f"element of {z.kind.name} against a {kind.name} ideal")
+    x, y = z.x, z.y
+    if dec.alpha is None:  # z must lie on a zero-divisor line the ideal meets
+        if kind is RingKind.PARABOLIC:
+            on_line, g = x == 0, dec.d0_gen
+        else:  # the diagonals; every line generator of an elliptic ideal is 0
+            on_line, g = abs(x) == abs(y), dec.dplus_gen if x == y else dec.dminus_gen
+        return not z or (on_line and g != 0 and y % g == 0)
+    a, b = dec.alpha.x, dec.alpha.y
+    if kind is RingKind.ELLIPTIC:
+        n = a * a + b * b
+        return (x * a + y * b) % n == 0 and (y * a - x * b) % n == 0
+    if kind is RingKind.HYPERBOLIC:
+        p, q, u, v = a + b, a - b, x + y, x - y
+        return not (u % p or v % q) and (dec.dplus_gen != p or (u // p - v // q) % 2 == 0)
+    return x % a == 0 and (y - b * (x // a)) % dec.d0_gen == 0
 
 
 __all__ = [

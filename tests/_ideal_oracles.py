@@ -1,12 +1,14 @@
 """Independent ground-truth oracles for ideal membership (test-only).
 
-Two routes, both avoiding the decomposition under test:
+Three routes, all avoiding the decomposition under test:
 
 * exact: a finitely generated ideal is the Z-span of its generators and
   their θ-multiples (multiplying by a + θb is a·g + b·(θg)), so membership
   is a 2D lattice question answered through a Hermite-form basis;
 * literal: enumerate all generator combinations with coefficient
-  coordinates in [-B, B] and collect the representable points.
+  coordinates in [-B, B] and collect the representable points;
+* descent: a Gaussian ideal's generator by Euclidean descent over the
+  generators, on plain integers.
 """
 
 from __future__ import annotations
@@ -88,3 +90,31 @@ def combination_points(gens: list[Element], coeff_bound: int = 12) -> set[tuple[
                 multiples.add((m.x, m.y))
         points = {(px + mx, py + my) for px, py in points for mx, my in multiples}
     return points
+
+
+def gaussian_descent_alpha(gens: list[tuple[int, int]]) -> tuple[int, int] | None:
+    """Generator x + iy of a Gaussian ideal with x > 0, y >= 0, or None for the zero ideal.
+
+    Divide every generator by the current α with each coordinate of the
+    quotient rounded to nearest; a nonzero remainder has at most half α's
+    norm and replaces it, until α divides them all.
+    """
+    gens = [g for g in gens if g != (0, 0)]
+    if not gens:
+        return None
+    ax, ay = min(gens, key=lambda g: g[0] ** 2 + g[1] ** 2)
+    done = False
+    while not done:
+        done = True
+        for x, y in gens:
+            n = ax * ax + ay * ay
+            # (x + iy)(ax - i·ay) / n, each coordinate rounded to nearest
+            qx = (2 * (x * ax + y * ay) + n) // (2 * n)
+            qy = (2 * (y * ax - x * ay) + n) // (2 * n)
+            rx, ry = x - (qx * ax - qy * ay), y - (qx * ay + qy * ax)
+            if (rx, ry) != (0, 0):
+                ax, ay, done = rx, ry, False
+                break
+    while not (ax > 0 and ay >= 0):  # multiply by i until it lands in the quadrant
+        ax, ay = -ay, ax
+    return ax, ay

@@ -51,6 +51,14 @@ class TestExp:
         with pytest.raises(OverflowError):
             exp_theta(RealElement(H, 1e9, 0.0))
 
+    @pytest.mark.parametrize(
+        "kind, x, y", [(H, 800.0, 1.0), (H, 1.0, 800.0), (H, 700.0, 700.0), (K, 1.0, 1e308)]
+    )
+    def test_overflow_names_the_float_range(self, kind, x, y):
+        # from math.exp, from cosh, and from a product of two finite floats
+        with pytest.raises(OverflowError, match="out of float range"):
+            exp_theta(RealElement(kind, x, y))
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             RealElement(H, float("nan"), 0.0)
@@ -101,6 +109,12 @@ class TestMoivre:
             for n in range(0, 11):
                 assert pow_moivre(z, n).isclose(acc)
                 acc = acc * z
+
+    @pytest.mark.parametrize("x, n", [(2.0, 2000), (2.0, 1100), (1e-100, -4)])
+    def test_overflow_names_the_float_range(self, x, n):
+        # float ** overflows at n = 2000 and for the tiny base; at n = 1100 a product of finite floats
+        with pytest.raises(OverflowError, match="out of float range"):
+            pow_moivre(RealElement(H, x, x / 2), n)
 
     def test_negative_power_inverts(self):
         z = RealElement(H, 3.0, 1.0)

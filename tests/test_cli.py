@@ -374,6 +374,22 @@ class TestGoldenOutput:
             ("oracle irreducible 5-100001i", 1, "", "error: coordinate too large (maximum 100000)\n"),
             ("--json oracle divisors -100001+2j", 1, "", "error: coordinate too large (maximum 100000)\n"),
             ("pow 1 1 2 --ring j", 1, "", "error: 1.0+1.0j is outside the sector eta > 0, x > 0\n"),
+            # a result past the float range: from float **, math.exp, a product of finite
+            # floats, and one that would have been blamed on the input
+            *(
+                (
+                    argv,
+                    1,
+                    "",
+                    "error: result out of float range: |x| and |y| must be at most 1.798e+308\n",
+                )
+                for argv in (
+                    "pow 2 1 2000 --ring j",
+                    "exp 800 1 --ring j",
+                    "--json exp 700 700 --ring j",
+                    "exp 1 1e308 --ring k",
+                )
+            ),
             (
                 "classify-poly 1 0 1e400",
                 1,

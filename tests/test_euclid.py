@@ -7,7 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import planeint
-from _ideal_oracles import combination_points, ideal_lattice, lattice_contains
+from _ideal_oracles import (
+    combination_points,
+    gaussian_descent_alpha,
+    ideal_lattice,
+    lattice_contains,
+)
 from planeint import (
     DivisorIsZeroDivisorError,
     DivResult,
@@ -205,6 +210,59 @@ class TestDecompose:
                         member = (x, y) in reachable
                         assert ideal_contains(dec, z) == member
                         assert lattice_contains(basis, z) == member
+
+    # ideals for every branch of ideal_contains, each asserted to have the shape that selects it
+    @pytest.mark.parametrize(
+        "gens, shape",
+        [
+            *(((Element(kind, 0, 0),), "zero") for kind in RingKind),
+            ((C(0, 0), C(0, 0)), "zero"),
+            ((H(3, 3), H(-6, -6)), "main diagonal"),
+            ((H(2, -2), H(3, -3)), "second diagonal"),
+            ((H(2, 0), H(1, 1)), "k = 1"),
+            ((H(4, 2), H(3, 1)), "k = 1"),
+            ((H(2, 1),), "k = 2"),
+            ((H(5, 3), H(7, 1)), "k = 2"),
+            ((K(0, 4), K(0, 6)), "axis"),
+            ((K(4, 0), K(0, 2)), "d0 < a"),
+            ((K(6, 3), K(0, 4)), "d0 < a"),
+            ((K(3, 1),), "d0 = a"),
+            ((C(6, 4), C(10, 2)), "gaussian"),
+            ((C(5, 0), C(7, 1)), "gaussian"),
+        ],
+    )
+    def test_contains_matches_lattice_on_every_shape(self, gens, shape):
+        dec = decompose(FGIdeal.of(*gens))
+        a = dec.alpha
+        p = a.x + a.y if a is not None else None
+        assert {
+            "zero": a is None and dec.dplus_gen == dec.dminus_gen == dec.d0_gen == 0,
+            "main diagonal": a is None and dec.dplus_gen > 0 == dec.dminus_gen,
+            "second diagonal": a is None and dec.dminus_gen > 0 == dec.dplus_gen,
+            "k = 1": a is not None and 2 * dec.dplus_gen == p,
+            "k = 2": a is not None and dec.dplus_gen == p,
+            "axis": a is None and dec.d0_gen > 0,
+            "d0 < a": a is not None and 0 < dec.d0_gen < a.x,
+            "d0 = a": a is not None and dec.d0_gen == a.x,
+            "gaussian": a is not None and a.eta > 1,
+        }[shape], dec
+        basis = ideal_lattice(list(gens))
+        for x in range(-20, 21):
+            for y in range(-20, 21):
+                z = Element(gens[0].kind, x, y)
+                assert ideal_contains(dec, z) == lattice_contains(basis, z), (dec, z)
+
+    @given(
+        st.lists(st.tuples(*[st.integers(-(2**300), 2**300)] * 2), min_size=1, max_size=4),
+        st.tuples(*[st.integers(-(2**150), 2**150)] * 2),
+        st.booleans(),
+    )
+    def test_gaussian_alpha_against_descent(self, pts, common, shared):
+        # a shared factor gives α a large, often composite norm
+        gens = [C(x, y) * C(*common) if shared else C(x, y) for x, y in pts]
+        dec = decompose(FGIdeal.of(*gens))
+        want = gaussian_descent_alpha([(g.x, g.y) for g in gens])
+        assert (None if dec.alpha is None else (dec.alpha.x, dec.alpha.y)) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -417,9 +475,10 @@ class TestKernelAgainstReference:
         _check_against_reference(a, 2 * c)
 
     def test_ideals(self, monkeypatch):
-        # decompose and ideal_contains reach the division only through
-        # euclid._div_rem, div_rem's kernel, so patching the reference in
-        # reruns them on it
+        # decompose reaches the division only through euclid._div_rem,
+        # div_rem's kernel, in the parabolic descent and in every ring's
+        # minimality check (ideal_contains does not divide), so patching
+        # the reference in reruns decompose on it
         rng = random.Random(23)
         cases = []
         for kind in RingKind:
@@ -475,7 +534,7 @@ class TestInvariantChecks:
             div_rem(C(1, 1), C(2, 0))
 
     def test_decompose_minimality(self, monkeypatch):
-        # a first descent that reduces nothing leaves α = 3, not of minimal norm
+        # a first parabolic descent that reduces nothing leaves α = 3, not of minimal norm
         real_descend = euclid._descend
         calls = []
 
@@ -485,7 +544,32 @@ class TestInvariantChecks:
 
         monkeypatch.setattr(euclid, "_descend", lazy_first)
         with pytest.raises(EuclidInvariantError, match="not minimal"):
-            decompose(FGIdeal.of(C(5, 0), C(3, 0)))
+            decompose(FGIdeal.of(K(5, 0), K(3, 0)))
+
+    def test_gaussian_closed_form_minimality(self, monkeypatch):
+        # 2α = 4 divides neither generator, so the descent from it finds a smaller norm
+        real = euclid._gaussian_alpha
+
+        def doubled(gens):
+            alpha, index = real(gens)
+            return 2 * alpha, index
+
+        monkeypatch.setattr(euclid, "_gaussian_alpha", doubled)
+        with pytest.raises(EuclidInvariantError, match="not minimal"):
+            decompose(FGIdeal.of(C(6, 4), C(10, 2)))
+
+    def test_gaussian_closed_form_norm(self, monkeypatch):
+        # α/(1+i) divides every generator, so only its norm, half the index, shows it is too big
+        real = euclid._gaussian_alpha
+
+        def halved(gens):
+            alpha, index = real(gens)
+            return divides(C(1, 1), alpha).canonical_associate()[0], index
+
+        assert decompose(FGIdeal.of(C(6, 4), C(10, 2))).alpha == C(2, 0)
+        monkeypatch.setattr(euclid, "_gaussian_alpha", halved)
+        with pytest.raises(EuclidInvariantError, match="index"):
+            decompose(FGIdeal.of(C(6, 4), C(10, 2)))
 
     def test_hyperbolic_closed_form_minimality(self, monkeypatch):
         # a closed form that doubled both diagonal coordinates would give α = (6, 2),
