@@ -6,6 +6,10 @@ The exponential carries each ring's own trigonometry::
     hyperbolic  exp(x + jy) = e^x (cosh y + j sinh y)
     parabolic   exp(x + ky) = e^x (1 + k y)
 
+The hyperbolic exponential and powers are computed in the diagonal
+coordinates (x+y, x−y), where the product is componentwise, so they are
+finite wherever the result is.
+
 Tolerances throughout the package's float layer: relative 1e-9 for
 magnitudes >= 1, absolute 1e-12 below.
 """
@@ -103,6 +107,24 @@ def _in_float_range(kind: RingKind, coords: Callable[[], tuple[float, float]]) -
     return RealElement(kind, x, y)
 
 
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """(s, c) with s the float nearest a + b and s + c = a + b exactly (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _from_diagonal(half: float, ell: float) -> tuple[float, float]:
+    """(x, y) = ((U + V)/2, (U − V)/2) for diagonal coordinates U, V > 0.
+
+    Takes half = max(U, V)/2 and ℓ = ln(U/V); y comes from ``expm1``, with no
+    cancellation when U ≈ V.  Callers form half as h·(h/2) with h = √max(U, V),
+    so that no step overflows unless x does.
+    """
+    e = math.expm1(-abs(ell))  # min(U, V)/max(U, V) − 1
+    return half * (2 + e), math.copysign(half * -e, ell)
+
+
 def exp_theta(z: RealElement) -> RealElement:
     """The ring-appropriate exponential; satisfies exp(z+w) = exp(z)·exp(w).
 
@@ -110,34 +132,50 @@ def exp_theta(z: RealElement) -> RealElement:
     """
 
     def coords() -> tuple[float, float]:
+        if z.kind is RingKind.HYPERBOLIC:
+            # U = e^(x+y) and V = e^(x−y): max(U, V) = e^(x+|y|) and ln(U/V) = 2y
+            s, c = _two_sum(z.x, abs(z.y))
+            h = math.exp(s / 2)
+            return _from_diagonal(h * (h / 2) * math.exp(c), 2 * z.y)
         scale = math.exp(z.x)
         if z.kind is RingKind.ELLIPTIC:
             return scale * math.cos(z.y), scale * math.sin(z.y)
-        if z.kind is RingKind.HYPERBOLIC:
-            return scale * math.cosh(z.y), scale * math.sinh(z.y)
         return scale, scale * z.y
 
     return _in_float_range(z.kind, coords)
 
 
-def polar_decompose(z: RealElement) -> PolarForm:
-    """``z = √η(z) (cosh α + j sinh α)`` for hyperbolic z with η > 0, x > 0."""
+def _check_sector(z: RealElement) -> None:
     if z.kind is not RingKind.HYPERBOLIC:
         raise OutOfSectorError("polar form exists in the hyperbolic ring only")
     if z.eta <= 0 or z.x <= 0:
         raise OutOfSectorError(f"{z.x}+{z.y}j is outside the sector eta > 0, x > 0")
+
+
+def polar_decompose(z: RealElement) -> PolarForm:
+    """``z = √η(z) (cosh α + j sinh α)`` for hyperbolic z with η > 0, x > 0."""
+    _check_sector(z)
     return PolarForm(math.sqrt(z.eta), math.atanh(z.y / z.x))
 
 
 def pow_moivre(z: RealElement, n: int) -> RealElement:
     """``z^n = (√η)^n (cosh nα + j sinh nα)``; n may be negative inside the sector.
 
-    Raises OverflowError when the result is outside the float range.
+    Computed as (uⁿ, vⁿ) in the diagonal coordinates u = x+y, v = x−y, both
+    positive in the sector.  Raises OverflowError when the result is outside
+    the float range.
     """
-    p = polar_decompose(z)
-    return _in_float_range(
-        z.kind, lambda: (p.r**n * math.cosh(n * p.alpha), p.r**n * math.sinh(n * p.alpha))
-    )
+    _check_sector(z)
+
+    def coords() -> tuple[float, float]:
+        (u, cu), (v, cv) = _two_sum(z.x, z.y), _two_sum(z.x, -z.y)
+        ell = n * math.log1p(2 * z.y / v)  # n·ln(u/v)
+        # max(uⁿ, vⁿ) = wⁿ; for the rounding error c, (w + c)ⁿ = wⁿ·e^(nc/w) in floats
+        w, c = (u, cu) if ell >= 0 else (v, cv)
+        h = w ** (n / 2)
+        return _from_diagonal(h * (h / 2) * math.exp(n * c / w), ell)
+
+    return _in_float_range(z.kind, coords)
 
 
 def euler_check(x: float) -> tuple[float, float]:

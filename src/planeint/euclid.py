@@ -6,11 +6,10 @@ nearest integer, and the remainder's absolute norm drops to at most half the
 divisor's.  Zero divisors need separate handling everywhere.
 
 A finitely generated ideal splits into a principal part ``(α)``, with α of
-least nonzero norm, plus its intersection with the zero-divisor set.
-Parabolic ideals find α by Euclidean descent over the generators; Gaussian
-and hyperbolic ideals have closed forms from integer gcds (see
-:func:`decompose`).  Membership is divisibility on coordinates alone (see
-:func:`ideal_contains`).
+least nonzero norm, plus its intersection with the zero-divisor set.  In
+every ring α has a closed form from integer gcds (see :func:`decompose`),
+and a Euclidean descent from it checks its minimality.  Membership is
+divisibility on coordinates alone (see :func:`ideal_contains`).
 """
 
 from __future__ import annotations
@@ -197,6 +196,27 @@ def _descend(gens: list[Element], alpha: Element) -> tuple[Element, list[Element
             return alpha, residues
 
 
+def _parabolic_basis(gens: list[Element]) -> tuple[int, int, int]:
+    """Hermite basis (a, b), (0, d) of a parabolic ideal: a >= 0 and 0 <= b < d.
+
+    Each generator x + ky, none of them 0, adds the rows (x, y) and
+    k·(x + ky) = (0, x) to the ℤ-span (see :func:`decompose`).
+    """
+    a = b = d = 0
+    for z in gens:
+        x, y = z.x, z.y
+        if not x:
+            d = gcd(d, y)
+            continue
+        # s·a + t·x = g = gcd(a, x), and x/g·(a, b) − a/g·(x, y) lies on the axis
+        g = gcd(a, x)
+        s = pow(a // g, -1, abs(x) // g)
+        t = (g - s * a) // x
+        d = gcd(d, x, x // g * b - a // g * y)
+        a, b = g, (s * b + t * y) % d
+    return a, b % d, d
+
+
 def _gaussian_alpha(gens: list[Element]) -> tuple[Element, int]:
     """A Gaussian ideal's canonical α and index D, in closed form (see :func:`decompose`)."""
     pts = [(z.x, z.y) for z in gens]
@@ -226,8 +246,20 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
     """Split an ideal as ``(α) + (zero-divisor part)``, with α of least nonzero norm.
 
     That minimality is what makes the membership test in
-    :func:`ideal_contains` exact.  Parabolic ideals find α by Euclidean
-    descent from the generator of least norm.
+    :func:`ideal_contains` exact.
+
+    Parabolic ideals have a closed form.  As (c + ke)·g = c·g + e·(k·g), the
+    ideal is the ℤ-span of the nonzero gᵢ = (xᵢ, yᵢ) and k·gᵢ = (0, xᵢ).  One
+    extended-gcd fold over these rows gives its Hermite basis (a, b), (0, d):
+    a row (x, y) with x ≠ 0 takes a to g = gcd(a, x) = s·a + t·x and b to
+    s·b + t·y, and leaves (x/g)·b − (a/g)·y on the axis, a unimodular step;
+    an axis row (0, y) takes d to gcd(d, y).  If a = 0 every generator lies on
+    the axis: there is no α, and the axis generator is d.  Otherwise every x
+    in the ideal is a multiple of a and η = x², so α = a + k·(b mod d) has
+    least nonzero norm, and the ideal meets the axis in dℤ.  As k·α = (0, a)
+    lies in the ideal, d | a, so 0 <= b mod d < d <= a is already the range
+    of :meth:`Element.canonical_associate`.  (a, b mod d, d) is the Hermite
+    form of the lattice, so α does not depend on the order of the generators.
 
     Gaussian ideals have a closed form.  The ideal is (α), since ℤ[i] is a
     PID, and the ℤ-span of the nonzero gᵢ = (xᵢ, yᵢ) and i·gᵢ.  Its content
@@ -259,6 +291,8 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
     In every ring α is checked at runtime, also under ``python -O``: a descent
     from α that finds a smaller norm raises :class:`EuclidInvariantError`.  A
     Gaussian α then divides every generator; with norm D it generates the ideal.
+    A parabolic d must equal gcd(a, y of each residue), the axis part read
+    from that descent.
     """
     kind = ideal.kind
     gens = [g for g in ideal.generators if g]
@@ -276,10 +310,10 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
     elif kind is RingKind.ELLIPTIC:
         alpha, index = _gaussian_alpha(gens)
     else:
-        alpha = min((g for g in gens if g.eta), key=lambda g: g.eta_plus, default=None)
-        if alpha is None:  # parabolic: every generator lies on the axis
-            return IdealDecomposition(kind, None, 0, 0, gcd(*(g.y for g in gens)))
-        alpha = _descend(gens, alpha)[0].canonical_associate()[0]
+        a, b, d = _parabolic_basis(gens)
+        if not a:  # every generator lies on the axis
+            return IdealDecomposition(kind, None, 0, 0, d)
+        alpha = _mk(kind, a, b)
 
     alpha2, residues = _descend(gens, alpha)
     if alpha2 != alpha:
@@ -292,7 +326,9 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
         if alpha.eta != index:
             raise EuclidInvariantError(f"N({alpha}) = {alpha.eta} is not the ideal's index {index}")
         return IdealDecomposition(kind, alpha, 0, 0, 0)
-    return IdealDecomposition(kind, alpha, 0, 0, gcd(alpha.x, *(r.y for r in residues)))
+    if gcd(a, *(r.y for r in residues)) != d:
+        raise EuclidInvariantError(f"axis generator {d} is not the descent's from {alpha}")
+    return IdealDecomposition(kind, alpha, 0, 0, d)
 
 
 def ideal_contains(dec: IdealDecomposition, z: Element) -> bool:

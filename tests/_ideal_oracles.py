@@ -7,8 +7,8 @@ Three routes, all avoiding the decomposition under test:
   is a 2D lattice question answered through a Hermite-form basis;
 * literal: enumerate all generator combinations with coefficient
   coordinates in [-B, B] and collect the representable points;
-* descent: a Gaussian ideal's generator by Euclidean descent over the
-  generators, on plain integers.
+* descent: a Gaussian ideal's generator, and a parabolic ideal's α.x and
+  axis generator, by Euclidean descent over the generators, on plain integers.
 """
 
 from __future__ import annotations
@@ -118,3 +118,34 @@ def gaussian_descent_alpha(gens: list[tuple[int, int]]) -> tuple[int, int] | Non
     while not (ax > 0 and ay >= 0):  # multiply by i until it lands in the quadrant
         ax, ay = -ay, ax
     return ax, ay
+
+
+def parabolic_descent(gens: list[tuple[int, int]]) -> tuple[int, int]:
+    """(a, d0) of a parabolic ideal: α's x-coordinate a > 0 (0 when every
+    generator lies on the axis) and the axis generator d0 >= 0.
+
+    Start from the generator of least |x| off the axis and divide every
+    generator by α = (ax, ay) with each coordinate of the quotient rounded to
+    nearest; a remainder off the axis has |x| at most half α's and replaces it,
+    until every remainder lies on the axis.  The ideal is then (α) plus those
+    remainders, and meets the axis in gcd(a, their y)ℤ.
+    """
+    gens = [g for g in gens if g != (0, 0)]
+    off_axis = [g for g in gens if g[0]]
+    if not off_axis:
+        return 0, gcd(*(y for _, y in gens))
+    ax, ay = min(off_axis, key=lambda g: abs(g[0]))
+    while True:
+        residues = []
+        for x, y in gens:
+            n = ax * ax
+            # (x + ky)(ax - k·ay) / ax², each coordinate rounded to nearest
+            qx = (2 * x * ax + n) // (2 * n)
+            qy = (2 * (y * ax - x * ay) + n) // (2 * n)
+            rx, ry = x - qx * ax, y - qx * ay - qy * ax
+            if rx:
+                ax, ay = rx, ry
+                break
+            residues.append(ry)
+        else:
+            return abs(ax), gcd(ax, *residues)

@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -137,3 +140,51 @@ class TestEuler:
             c, s = euler_check(x)
             assert floats_close(c, math.cosh(x))
             assert floats_close(s, math.sinh(x))
+
+
+def _near(got: float, want: float) -> bool:
+    """Within 5 units in the last place of want, the float nearest the exact value."""
+    return abs(got - want) <= 5 * math.ulp(want)
+
+
+class TestDiagonalCoordinates:
+    """Hyperbolic exp and pow against exact references, over the whole float range.
+
+    Cosh and sinh overflow past |y| ≈ 710 and e^x underflows past x ≈ −745,
+    though e^x·cosh y may be in range; a small y loses its digits in U − V.
+    """
+
+    def test_exp_against_decimal(self):
+        rng = random.Random(3)
+        cases = [(-800.0, 800.0), (-1000.0, 999.5), (10.0, 1e-12), (355.0, 355.1), (1.0, 1.0)]
+        cases += [(rng.uniform(-1500, 800), rng.uniform(-1500, 1500)) for _ in range(200)]
+        cases += [(rng.uniform(-300, 300), rng.uniform(-1e-6, 1e-6)) for _ in range(100)]
+        for x, y in cases:
+            with localcontext() as ctx:
+                ctx.prec = 60
+                u, v = (Decimal(x) + Decimal(y)).exp(), (Decimal(x) - Decimal(y)).exp()
+                want = ((u + v) / 2, (u - v) / 2)
+            if max(abs(w) for w in want) > sys.float_info.max:
+                with pytest.raises(OverflowError, match="out of float range"):
+                    exp_theta(RealElement(H, x, y))
+                continue
+            got = exp_theta(RealElement(H, x, y))
+            assert _near(got.x, float(want[0])) and _near(got.y, float(want[1])), (x, y, got)
+
+    def test_pow_against_fractions(self):
+        rng = random.Random(4)
+        cases = [(0.5, 0.49, 400), (3.0, 1.0, 5), (5.0, -3.0, -3), (1.0, 1e-9, 7), (2.0, 1.999, 1500)]
+        for _ in range(200):
+            x = rng.uniform(0.01, 10)
+            y = rng.choice([rng.uniform(-0.999, 0.999), rng.uniform(-1e-6, 1e-6)]) * x
+            cases.append((x, y, rng.randint(-400, 400)))
+        for x, y, n in cases:
+            u, v = Fraction(x) + Fraction(y), Fraction(x) - Fraction(y)
+            want = ((u**n + v**n) / 2, (u**n - v**n) / 2)
+            if max(abs(w) for w in want) > sys.float_info.max:
+                with pytest.raises(OverflowError, match="out of float range"):
+                    pow_moivre(RealElement(H, x, y), n)
+                continue
+            got = pow_moivre(RealElement(H, x, y), n)
+            assert _near(got.x, float(want[0])) and _near(got.y, float(want[1])), (x, y, n, got)
+        assert pow_moivre(RealElement(H, 3.0, 1.0), 5) == RealElement(H, 528.0, 496.0)

@@ -374,6 +374,20 @@ class TestGoldenOutput:
             ("oracle irreducible 5-100001i", 1, "", "error: coordinate too large (maximum 100000)\n"),
             ("--json oracle divisors -100001+2j", 1, "", "error: coordinate too large (maximum 100000)\n"),
             ("pow 1 1 2 --ring j", 1, "", "error: 1.0+1.0j is outside the sector eta > 0, x > 0\n"),
+            # finite results that cosh and sinh, or e^x, cannot reach; the exact sums 528 + 496j
+            ("exp --ring j -- -800 800", 0, "exp(-800.0 + 800.0j) = 0.5 + 0.5j\n", ""),
+            (
+                "pow --ring j 0.5 0.49 400",
+                0,
+                "(0.5 + 0.49j)^400 = 0.00897527663752257 + 0.00897527663752257j\n",
+                "",
+            ),
+            ("pow --ring j 3 1 5", 0, "(3.0 + 1.0j)^5 = 528.0 + 496.0j\n", ""),
+            # a parabolic α does not depend on the order of the generators
+            *(
+                (argv, 0, "alpha       2+0k\ndiag + gen  0\ndiag - gen  0\naxis gen    1\n", "")
+                for argv in ("ideal -- -2-2k -2-1k", "ideal -- -2-1k -2-2k")
+            ),
             # a result past the float range: from float **, math.exp, a product of finite
             # floats, and one that would have been blamed on the input
             *(

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from _ideal_oracles import (
     gaussian_descent_alpha,
     ideal_lattice,
     lattice_contains,
+    parabolic_descent,
 )
 from planeint import (
     DivisorIsZeroDivisorError,
@@ -264,6 +266,35 @@ class TestDecompose:
         want = gaussian_descent_alpha([(g.x, g.y) for g in gens])
         assert (None if dec.alpha is None else (dec.alpha.x, dec.alpha.y)) == want
 
+    @given(
+        st.lists(
+            st.tuples(st.one_of(st.just(0), st.integers(-(2**300), 2**300)),
+                      st.integers(-(2**300), 2**300)),
+            min_size=1, max_size=4,
+        )
+    )
+    def test_parabolic_against_descent(self, pts):
+        gens = [K(x, y) for x, y in pts]
+        dec = decompose(FGIdeal.of(*gens))
+        alpha = dec.alpha
+        assert (0 if alpha is None else alpha.x, dec.d0_gen) == parabolic_descent(pts)
+        if alpha is not None:
+            assert 0 <= alpha.y < dec.d0_gen
+            assert lattice_contains(ideal_lattice(gens), alpha)
+
+    @given(
+        KINDS,
+        st.lists(
+            st.tuples(*[st.one_of(st.integers(-9, 9), st.integers(-(2**64), 2**64))] * 2),
+            min_size=2, max_size=4,
+        ),
+    )
+    def test_independent_of_generator_order(self, kind, pts):
+        gens = [Element(kind, x, y) for x, y in pts]
+        want = decompose(FGIdeal.of(*gens))
+        for order in itertools.permutations(gens):
+            assert decompose(FGIdeal.of(*order)) == want, order
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FGIdeal(RingKind.HYPERBOLIC, ())
@@ -476,9 +507,8 @@ class TestKernelAgainstReference:
 
     def test_ideals(self, monkeypatch):
         # decompose reaches the division only through euclid._div_rem,
-        # div_rem's kernel, in the parabolic descent and in every ring's
-        # minimality check (ideal_contains does not divide), so patching
-        # the reference in reruns decompose on it
+        # div_rem's kernel, in every ring's minimality check (ideal_contains
+        # does not divide), so patching the reference in reruns decompose on it
         rng = random.Random(23)
         cases = []
         for kind in RingKind:
@@ -508,6 +538,12 @@ class TestKernelAgainstReference:
 
         got = run()
         assert all(all(answers[:5]) for _, answers in got)
+        # the check divides each nonzero generator once by α, where there is one
+        checked = sum(
+            sum(1 for g in ideal.generators if g)
+            for ideal, _ in cases
+            if decompose(ideal).alpha is not None
+        )
         calls = []
 
         def counted_reference(a, b):
@@ -517,7 +553,7 @@ class TestKernelAgainstReference:
 
         monkeypatch.setattr(euclid, "_div_rem", counted_reference)
         assert run() == got
-        assert len(calls) > 1000
+        assert len(calls) == checked
 
 
 class TestInvariantChecks:
@@ -534,17 +570,18 @@ class TestInvariantChecks:
             div_rem(C(1, 1), C(2, 0))
 
     def test_decompose_minimality(self, monkeypatch):
-        # a first parabolic descent that reduces nothing leaves α = 3, not of minimal norm
-        real_descend = euclid._descend
-        calls = []
-
-        def lazy_first(gens, alpha):
-            calls.append(alpha)
-            return (alpha, []) if len(calls) == 1 else real_descend(gens, alpha)
-
-        monkeypatch.setattr(euclid, "_descend", lazy_first)
+        # a parabolic fold that stopped at the generator 3 gives α = 3, not of minimal norm
+        monkeypatch.setattr(euclid, "_parabolic_basis", lambda gens: (3, 0, 1))
         with pytest.raises(EuclidInvariantError, match="not minimal"):
             decompose(FGIdeal.of(K(5, 0), K(3, 0)))
+
+    def test_parabolic_axis_generator(self, monkeypatch):
+        # α = 4 is right, but (4, 2k) meets the axis in 2ℤ, not the fold's 4ℤ
+        real = euclid._parabolic_basis
+        assert real([K(4, 0), K(0, 2)]) == (4, 0, 2)
+        monkeypatch.setattr(euclid, "_parabolic_basis", lambda gens: (*real(gens)[:2], 4))
+        with pytest.raises(EuclidInvariantError, match="axis generator"):
+            decompose(FGIdeal.of(K(4, 0), K(0, 2)))
 
     def test_gaussian_closed_form_minimality(self, monkeypatch):
         # 2α = 4 divides neither generator, so the descent from it finds a smaller norm
