@@ -6,9 +6,9 @@ The exponential carries each ring's own trigonometry::
     hyperbolic  exp(x + jy) = e^x (cosh y + j sinh y)
     parabolic   exp(x + ky) = e^x (1 + k y)
 
-The hyperbolic exponential and powers are computed in the diagonal
-coordinates (x+y, x−y), where the product is componentwise, so they are
-finite wherever the result is.
+The hyperbolic exponential, powers and polar form are computed in the
+diagonal coordinates (x+y, x−y), where the product is componentwise, so they
+are finite wherever the result is.
 
 Tolerances throughout the package's float layer: relative 1e-9 for
 magnitudes >= 1, absolute 1e-12 below.
@@ -88,11 +88,20 @@ class PolarForm(_Record):
         _setfield(self, "alpha", alpha)
 
     def element(self) -> RealElement:
-        return RealElement(
-            RingKind.HYPERBOLIC,
-            self.r * math.cosh(self.alpha),
-            self.r * math.sinh(self.alpha),
-        )
+        """``r (cosh α + j sinh α)``; OverflowError when it is outside the float range.
+
+        Built from the diagonal coordinates U = r·e^α, V = r·e^−α, so it is
+        finite wherever the result is, though cosh α alone may overflow.
+        """
+
+        def coords() -> tuple[float, float]:
+            # max(U, V)/2 = |r|·(t/2)·t with t = e^(|α|/2): a partial product
+            # overflows only when the last one does
+            t = math.exp(abs(self.alpha) / 2)
+            x, y = _from_diagonal(abs(self.r) * (t / 2) * t, 2 * self.alpha)
+            return (x, y) if self.r >= 0 else (-x, -y)
+
+        return _in_float_range(RingKind.HYPERBOLIC, coords)
 
 
 def _in_float_range(kind: RingKind, coords: Callable[[], tuple[float, float]]) -> RealElement:
@@ -148,14 +157,20 @@ def exp_theta(z: RealElement) -> RealElement:
 def _check_sector(z: RealElement) -> None:
     if z.kind is not RingKind.HYPERBOLIC:
         raise OutOfSectorError("polar form exists in the hyperbolic ring only")
-    if z.eta <= 0 or z.x <= 0:
+    # x > |y| is η > 0 and x > 0, without squares that underflow to η = 0
+    if not z.x > abs(z.y):
         raise OutOfSectorError(f"{z.x}+{z.y}j is outside the sector eta > 0, x > 0")
 
 
 def polar_decompose(z: RealElement) -> PolarForm:
     """``z = √η(z) (cosh α + j sinh α)`` for hyperbolic z with η > 0, x > 0."""
     _check_sector(z)
-    return PolarForm(math.sqrt(z.eta), math.atanh(z.y / z.x))
+    # η = (x+y)(x−y); where that product leaves the normal float range,
+    # √η = √(x+y)·√(x−y), which neither underflows to 0 nor overflows
+    u, v = z.x + z.y, z.x - z.y
+    eta = u * v
+    r = math.sqrt(eta) if sys.float_info.min <= eta < math.inf else math.sqrt(u) * math.sqrt(v)
+    return PolarForm(r, math.atanh(z.y / z.x))
 
 
 def pow_moivre(z: RealElement, n: int) -> RealElement:

@@ -21,18 +21,23 @@ Each ring's rule is stated once, in ``_verdict``; :func:`is_prime`,
 :func:`is_irreducible`, :func:`classify`, :func:`prime_integer_behavior` and
 :func:`planeint.factorization.split` all read their answer from it.
 
-Cost model: a Gaussian or hyperbolic verdict makes one primality test, of
-the norm (of the integer on the Gaussian axes).  A parabolic verdict reads
-an x below 2¹⁶ from a table and never factors a larger one: ``_prime_power``
-strips the primes below 2¹² with one gcd, makes one primality test of what
-is left, and tries a few exact integer roots only when that is composite.
+Cost model: :func:`classify`, :func:`is_prime` and :func:`is_irreducible`
+compute the norm once, from x, y and θ², and ``classify`` builds no record:
+it returns one of a fixed set of interned ``Classification`` instances (zero,
+units, and one per zero-divisor/prime/irreducible triple), so equal verdicts
+are the same object.  A Gaussian or hyperbolic verdict makes one primality
+test, of the norm (of the integer on the Gaussian axes).  A parabolic verdict
+reads an x below 2¹⁶ from a table and never factors a larger one:
+``_prime_power`` strips the primes below 2¹² with one gcd, makes one
+primality test of what is left, and tries a few exact integer roots only
+when that is composite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Element, RingKind, _Record, _setfield
+from .core import _HYPERBOLIC, _PARABOLIC, Element, RingKind, _Record, _setfield
 from .integers import _prime_power, is_prime_int, sum_two_squares
 
 
@@ -71,19 +76,38 @@ class IrreducibleForm(_Record):
 
     def element(self) -> Element:
         half = 1 << self.gamma
-        return Element(RingKind.HYPERBOLIC, half + 1, self.sign_y * (half - 1))
+        return Element(_HYPERBOLIC, half + 1, self.sign_y * (half - 1))
 
 
-def _verdict(z: Element) -> tuple[bool, bool]:
-    """``(prime, irreducible)`` for a nonzero non-unit z."""
-    if z.kind is RingKind.PARABOLIC:
+# classify's verdicts, interned: classify returns one of these, never a new one
+_ZERO = Classification(True, False, True, False, False, False)
+_UNIT = Classification(False, True, False, False, False, False)
+# _VERDICTS[zero_divisor][prime][irreducible], indexed by bools
+_VERDICTS = tuple(
+    tuple(
+        tuple(Classification(False, False, zd, prime, irr, not irr) for irr in (False, True))
+        for prime in (False, True)
+    )
+    for zd in (False, True)
+)
+
+
+def _eta_plus(z: Element) -> int:
+    """``z.eta_plus`` read from the coordinates, without the property chain."""
+    x, y = z.x, z.y
+    return abs(x * x - z.kind.mu * y * y)
+
+
+def _verdict(z: Element, ep: int) -> tuple[bool, bool]:
+    """``(prime, irreducible)`` for a nonzero non-unit z of absolute norm ep."""
+    kind = z.kind
+    if kind is _PARABOLIC:
         if z.x == 0:
             return abs(z.y) == 1, abs(z.y) == 1
         # off the axis: |x| = p, or |x| = p^g with p ∤ y
         power = _prime_power(abs(z.x))
         return False, power is not None and (power[1] == 1 or z.y % power[0] != 0)
-    ep = z.eta_plus
-    if z.kind is RingKind.HYPERBOLIC:
+    if kind is _HYPERBOLIC:
         if ep == 0:
             return abs(z.x) == 1, False  # on the diagonals |x| == |y|
         if is_prime_int(ep):
@@ -105,22 +129,30 @@ def _verdict(z: Element) -> tuple[bool, bool]:
 
 def is_prime(z: Element) -> bool:
     """Prime in the ring-theoretic sense: ``p | ab`` forces ``p | a`` or ``p | b``."""
-    return bool(z) and not z.is_unit() and _verdict(z)[0]
+    ep = _eta_plus(z)
+    return ep != 1 and bool(z) and _verdict(z, ep)[0]
 
 
 def is_irreducible(z: Element) -> bool:
     """Irreducible: every factorization has a unit factor."""
-    return bool(z) and not z.is_unit() and _verdict(z)[1]
+    ep = _eta_plus(z)
+    return ep != 1 and bool(z) and _verdict(z, ep)[1]
 
 
 def classify(z: Element) -> Classification:
-    """Joint verdict; zero and units carry no prime/irreducible/reducible flags."""
-    if not z:
-        return Classification(True, False, True, False, False, False)
-    if z.is_unit():
-        return Classification(False, True, False, False, False, False)
-    prime, irr = _verdict(z)
-    return Classification(False, False, z.is_zero_divisor(), prime, irr, not irr)
+    """Joint verdict; zero and units carry no prime/irreducible/reducible flags.
+
+    The norm is computed once, and the result is one of the module's interned
+    ``Classification`` instances: equal verdicts are the same object.
+    """
+    x, y = z.x, z.y
+    ep = abs(x * x - z.kind.mu * y * y)  # _eta_plus(z), inlined
+    if ep == 1:
+        return _UNIT
+    if not (x or y):
+        return _ZERO
+    prime, irr = _verdict(z, ep)
+    return _VERDICTS[ep == 0][prime][irr]
 
 
 class PrimeIntegerReport(_Record):
@@ -148,9 +180,9 @@ def prime_integer_behavior(p: int, kind: RingKind) -> PrimeIntegerReport:
     """
     if not is_prime_int(p):
         raise ValueError(f"{p} is not prime")
-    prime, irreducible = _verdict(Element(kind, p, 0))
+    prime, irreducible = _verdict(Element(kind, p, 0), p * p)
     witness = None
-    if not irreducible and kind is RingKind.HYPERBOLIC:
+    if not irreducible and kind is _HYPERBOLIC:
         n = (p - 1) // 2
         witness = (Element(kind, n + 1, n), Element(kind, n + 1, -n))
     elif not irreducible:  # elliptic: p = (a + ib)(a - ib)

@@ -8,6 +8,7 @@ import pytest
 
 from planeint import (
     OutOfSectorError,
+    PolarForm,
     RealElement,
     RingKind,
     euler_check,
@@ -80,6 +81,18 @@ class TestPolar:
     def test_real_axis(self):
         p = polar_decompose(RealElement(H, 1.0, 0.0))
         assert p.r == 1.0 and p.alpha == 0.0
+
+    def test_tiny_and_huge_sector_points(self):
+        # x² underflows to 0 and overflows to inf, but x > |y| puts them in the sector
+        p = polar_decompose(RealElement(H, 1e-200, 0.0))
+        assert p == PolarForm(1e-200, 0.0)
+        assert p.element() == RealElement(H, 1e-200, 0.0)
+        assert pow_moivre(RealElement(H, 1e-200, 0.0), 1) == RealElement(H, 1e-200, 0.0)
+        p = polar_decompose(RealElement(H, 5e-200, 3e-200))
+        assert _near(p.r, 4e-200) and _near(p.alpha, math.atanh(0.6))
+        assert _near(polar_decompose(RealElement(H, 5e200, -3e200)).r, 4e200)
+        with pytest.raises(OutOfSectorError):
+            polar_decompose(RealElement(H, 1e-200, -1e-200))
 
     def test_out_of_sector(self):
         with pytest.raises(OutOfSectorError):
@@ -170,6 +183,27 @@ class TestDiagonalCoordinates:
                 continue
             got = exp_theta(RealElement(H, x, y))
             assert _near(got.x, float(want[0])) and _near(got.y, float(want[1])), (x, y, got)
+
+    def test_polar_element_against_decimal(self):
+        rng = random.Random(5)
+        cases = [(1e-300, 800.0), (1e-300, -800.0), (4.0, math.atanh(0.6)), (1e300, 0.5), (2.0, 1e-12)]
+        cases += [(10 ** rng.uniform(-300, 300), rng.uniform(-1500, 1500)) for _ in range(300)]
+        cases += [(10 ** rng.uniform(-30, 30), rng.uniform(-1, 1)) for _ in range(200)]
+        cases += [(10 ** rng.uniform(-30, 30), rng.uniform(-1e-6, 1e-6)) for _ in range(100)]
+        cases += [(-r, alpha) for r, alpha in cases[:50]]
+        for r, alpha in cases:
+            with localcontext() as ctx:
+                ctx.prec = 60
+                e = Decimal(alpha).exp()
+                want = (Decimal(r) * (e + 1 / e) / 2, Decimal(r) * (e - 1 / e) / 2)
+            if max(abs(w) for w in want) > sys.float_info.max:
+                with pytest.raises(OverflowError, match="out of float range"):
+                    PolarForm(r, alpha).element()
+                continue
+            got = PolarForm(r, alpha).element()
+            if min(abs(w) for w in want) < sys.float_info.min:
+                continue  # a subnormal coordinate has fewer digits than 5 ulp allow for
+            assert _near(got.x, float(want[0])) and _near(got.y, float(want[1])), (r, alpha, got)
 
     def test_pow_against_fractions(self):
         rng = random.Random(4)

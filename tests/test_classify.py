@@ -1,7 +1,12 @@
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import planeint.classification as classification
 from planeint import (
+    Classification,
     Element,
     IrreducibleForm,
     RingKind,
@@ -125,6 +130,93 @@ class TestClassify:
             calls.clear()
             classify(z)
             assert len(calls) == 1, (z, calls)
+
+
+def reference_classify(z):
+    """The verdict built field by field, as classify built a new record per call."""
+    zero, unit = not z, z.is_unit()
+    irreducible = is_irreducible(z)
+    reducible = not zero and not unit and not irreducible
+    return Classification(zero, unit, z.is_zero_divisor(), is_prime(z), irreducible, reducible)
+
+
+# a prime norm above the proven Miller-Rabin bound (about 2^81.4) is trial-divided,
+# so Gaussian points off the axes stay below 2^40; on them the norm test is of |x + y|
+BIG = 2**64
+GAUSSIAN_OFF_AXIS = 2**40
+
+
+@st.composite
+def elements(draw):
+    kind = draw(st.sampled_from(list(RingKind)))
+    bound = draw(st.sampled_from((6, BIG)))
+    x, y = draw(st.integers(-bound, bound)), draw(st.integers(-bound, bound))
+    if kind is RingKind.ELLIPTIC and max(abs(x), abs(y)) > GAUSSIAN_OFF_AXIS:
+        if draw(st.booleans()):
+            x, y = x % GAUSSIAN_OFF_AXIS, y % GAUSSIAN_OFF_AXIS
+        else:
+            x, y = draw(st.sampled_from(((x, 0), (0, y))))
+    return Element(kind, x, y)
+
+
+class TestInternedVerdicts:
+    """classify returns shared records; only ``is`` identity is new."""
+
+    CASES = {
+        "zero": [C(0, 0), H(0, 0), K(0, 0)],
+        "unit": [C(0, -1), H(-1, 0), H(0, 1), K(1, 5), K(-1, -7)],
+        "zero divisor, prime, reducible": [H(1, 1), H(-1, 1), H(1, -1)],
+        "zero divisor, prime, irreducible": [K(0, 1), K(0, -1)],
+        "zero divisor, neither": [H(2, 2), H(-3, 3), K(0, 2), K(0, -6)],
+        "prime and irreducible": [C(5, 2), C(-3, 0), C(0, 7), H(2, 1), H(-3, 4)],
+        "irreducible, not prime": [H(2, 0), H(3, 1), H(-1, 3), K(2, 0), K(3, 7), K(-4, 1)],
+        "reducible, not prime": [C(2, 0), C(3, 3), H(4, 0), H(5, 1), K(6, 1), K(-4, 2)],
+    }
+
+    def test_equal_verdicts_are_identical(self):
+        for name, zs in self.CASES.items():
+            first = classify(zs[0])
+            for z in zs:
+                c = classify(z)
+                assert c is first, (name, z)
+                assert c == reference_classify(z), (name, z)
+        # each case is a different verdict
+        assert len({classify(zs[0]) for zs in self.CASES.values()}) == len(self.CASES)
+
+    def test_box(self):
+        seen = {}
+        for kind in RingKind:
+            for z in [Element(kind, 0, 0), *_box(kind, 12)]:
+                c = classify(z)
+                assert seen.setdefault(c, c) is c, z
+        assert len(seen) == len(self.CASES)
+
+    @given(elements())
+    def test_matches_the_field_by_field_verdict(self, z):
+        c = classify(z)
+        assert c == reference_classify(z)
+        assert c is classify(Element(z.kind, z.x, z.y))
+
+    def test_replace_leaves_the_table(self):
+        table = {name: dataclasses.astuple(classify(zs[0])) for name, zs in self.CASES.items()}
+        c = classify(C(5, 2))
+        d = dataclasses.replace(c, is_prime=False)
+        assert d is not c and d != c and not d.is_prime
+        assert classify(C(5, 2)) is c and c.is_prime
+        assert {name: dataclasses.astuple(classify(zs[0])) for name, zs in self.CASES.items()} == table
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.is_prime = False
+
+    def test_one_norm_per_verdict(self, monkeypatch):
+        # classify, is_prime and is_irreducible read the coordinates, not the
+        # eta -> eta_plus property chain
+        def no_property(z):
+            raise AssertionError(f"norm property read for {z!r}")
+
+        monkeypatch.setattr(Element, "eta", property(no_property))
+        for kind in RingKind:
+            for z in [Element(kind, 0, 0), *_box(kind, 5)]:
+                classify(z), is_prime(z), is_irreducible(z)
 
 
 class TestStructuralInvariants:

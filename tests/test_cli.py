@@ -374,6 +374,8 @@ class TestGoldenOutput:
             ("oracle irreducible 5-100001i", 1, "", "error: coordinate too large (maximum 100000)\n"),
             ("--json oracle divisors -100001+2j", 1, "", "error: coordinate too large (maximum 100000)\n"),
             ("pow 1 1 2 --ring j", 1, "", "error: 1.0+1.0j is outside the sector eta > 0, x > 0\n"),
+            # x > |y|, though x² - y² underflows to 0
+            ("pow 1e-200 0 1 --ring j", 0, "(1e-200 + 0.0j)^1 = 1e-200 + 0.0j\n", ""),
             # finite results that cosh and sinh, or e^x, cannot reach; the exact sums 528 + 496j
             ("exp --ring j -- -800 800", 0, "exp(-800.0 + 800.0j) = 0.5 + 0.5j\n", ""),
             (

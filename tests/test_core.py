@@ -273,6 +273,28 @@ class TestCanonicalAssociates:
                 assert c.eta > 0 and c.x > 0
 
 
+    def test_units_are_shared(self):
+        # u is a unit with u·z the canonical form; the units ±1, ±θ of i and j,
+        # and ±1 on k's axis, are the same few objects across every call
+        for kind in RingKind:
+            shared = {}  # id -> unit, which keeps every unit alive and its id unique
+            for x in range(-12, 13):
+                for y in range(-12, 13):
+                    z = Element(kind, x, y)
+                    canonical, u = z.canonical_associate()
+                    assert u.is_unit() and u * z == canonical, z
+                    if kind is not RingKind.PARABOLIC or x == 0:
+                        shared[id(u)] = u
+            assert len(shared) == (2 if kind is RingKind.PARABOLIC else 4), kind
+
+    def test_ne_is_not_eq(self):
+        zs = [Element(kind, x, y) for kind in RingKind for x in (-1, 0, 2) for y in (-1, 0, 2)]
+        for z in zs:
+            for w in zs + [0, None, (z.kind, z.x, z.y)]:
+                assert (z != w) is (not z == w), (z, w)
+        assert Element(RingKind.ELLIPTIC, 1, 0).__ne__(1) is NotImplemented
+
+
 def reference_canonical_associate(z):
     """The first unit multiple of z in the canonical region, by trial products."""
     kind = z.kind
