@@ -95,10 +95,16 @@ class PolarForm(_Record):
         """
 
         def coords() -> tuple[float, float]:
-            # max(U, V)/2 = |r|·(t/2)·t with t = e^(|α|/2): a partial product
-            # overflows only when the last one does
-            t = math.exp(abs(self.alpha) / 2)
-            x, y = _from_diagonal(abs(self.r) * (t / 2) * t, 2 * self.alpha)
+            # max(U, V)/2 = |r|·e^|α|/2 = m·(s/2)·s·u·2^(e + 2k + l), with
+            # |r| = m·2^e, e^a = s·2^k for a = min(|α|/2, 709), whose exp is
+            # finite, and e^(|α| − 2a) = u·2^l (|α| − 1418 is exact).  The
+            # mantissa product stays normal, so a subnormal r keeps its digits,
+            # and only a result out of range overflows
+            a = min(abs(self.alpha) / 2, 709.0)
+            m, e = math.frexp(abs(self.r))
+            s, k = math.frexp(math.exp(a))
+            u, l = math.frexp(math.exp(abs(self.alpha) - 2 * a))
+            x, y = _from_diagonal(math.ldexp(m * (s / 2) * s * u, e + 2 * k + l), 2 * self.alpha)
             return (x, y) if self.r >= 0 else (-x, -y)
 
         return _in_float_range(RingKind.HYPERBOLIC, coords)
@@ -127,8 +133,8 @@ def _from_diagonal(half: float, ell: float) -> tuple[float, float]:
     """(x, y) = ((U + V)/2, (U − V)/2) for diagonal coordinates U, V > 0.
 
     Takes half = max(U, V)/2 and ℓ = ln(U/V); y comes from ``expm1``, with no
-    cancellation when U ≈ V.  Callers form half as h·(h/2) with h = √max(U, V),
-    so that no step overflows unless x does.
+    cancellation when U ≈ V.  Callers form half so that no step overflows
+    unless x does.
     """
     e = math.expm1(-abs(ell))  # min(U, V)/max(U, V) − 1
     return half * (2 + e), math.copysign(half * -e, ell)

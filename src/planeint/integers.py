@@ -35,58 +35,80 @@ _SMOOTH_PRIME_END = 1 << 24  # (2¹²)²
 
 _MR_BASES = _SMALL_PRIMES[:25]  # the primes below 100
 
-# (psi_k, k): every odd composite n < psi_k fails the strong test to one of the
-# first k prime bases (Jaeschke 1993; Sorenson & Webster 2015).  psi_1 = 2047
-# lies below the crossover, psi_8 == psi_7 and psi_10 == psi_11 == psi_9, so
-# those rows are left out.
+# (bound, bases): every odd composite n < bound fails the strong test to one
+# of the bases.  Below 2⁶⁴ each row is the smallest published set for its
+# size, 2 to 7 rounds: ψ₂ = 1,373,653 with {2, 3} and the {2, 7, 61} row are
+# Jaeschke's (1993); the rows below 19,471,033, 38,010,307 and from
+# 105,936,894,253 to 3,071,837,692,357,849 are from miller-rabin.appspot.com;
+# {2, 325, ..., 1795265022} below 2⁶⁴ is Sinclair's (2011).  The last two
+# sources checked their sets against Feitsma's complete list of strong
+# base-2 pseudoprimes below 2⁶⁴; since every row starts with 2, only a
+# composite on that list can pass a row's first round.  Every base is
+# below the previous row's bound, the least n its row serves, so no base is
+# ≡ 0 (mod n).  Past 2⁶⁴ the rows are ψ₁₂ and ψ₁₃ with the first 12 and 13
+# primes (Jaeschke 1993; Sorenson & Webster 2015).
 _MR_PROVEN = (
-    (1_373_653, 2),
-    (25_326_001, 3),
-    (3_215_031_751, 4),
-    (2_152_302_898_747, 5),
-    (3_474_749_660_383, 6),
-    (341_550_071_728_321, 7),
-    (3_825_123_056_546_413_051, 9),
-    (318_665_857_834_031_151_167_461, 12),
-    (3_317_044_064_679_887_385_961_981, 13),
+    (1_373_653, (2, 3)),
+    (19_471_033, (2, 299417)),
+    (38_010_307, (2, 9332593)),
+    (4_759_123_141, (2, 7, 61)),
+    (105_936_894_253, (2, 1005905886, 1340600841)),
+    (31_858_317_218_647, (2, 642735, 553174392, 3046413974)),
+    (3_071_837_692_357_849, (2, 75088, 642735, 203659041, 3613982119)),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (318_665_857_834_031_151_167_461, _MR_BASES[:12]),
+    (3_317_044_064_679_887_385_961_981, _MR_BASES[:13]),
 )
 
 _RHO_BATCH = 128  # rho steps whose differences share one gcd
 
 
-def _strong_probable_prime(n: int, a: int) -> bool:
-    """Miller–Rabin round: False proves the odd n > a composite."""
-    d = n - 1
-    s = two_adic_valuation(d)
-    x = pow(a, d >> s, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
+def _strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
+    """Miller–Rabin rounds on the odd n to each base, in order: False proves n composite.
+
+    Each base a must satisfy 1 < a < n.  n − 1 = 2^s·d is split once; a round
+    passes when a^d ≡ 1 or a^(2^r·d) ≡ −1 (mod n) for some r < s, and the
+    first round that fails ends the test.
+    """
+    m = n - 1
+    s = two_adic_valuation(m)
+    d = m >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == m:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == m:
+                break
+        else:
+            return False
+    return True
 
 
 def is_prime_int(n: int) -> bool:
     """Exact primality of an integer.
 
-    Below 2¹⁶ this is a table lookup.  Above it, deterministic Miller–Rabin on
-    the first k prime bases, with k the smallest count proven for n's size;
-    the first 13 primes cover every n < 3,317,044,064,679,887,385,961,981
-    (≈ 3.3·10²⁴).  Beyond that bound no finite base set is proven: a failed
-    round on any prime base below 100 still proves n composite, and an n that
-    passes them all is settled by odd trial division, which is exact but
-    takes O(√n) steps, so primes above 3.3·10²⁴ are slow.
+    Below 2¹⁶ this is a table lookup.  Above it, deterministic Miller–Rabin
+    on the bases of the first ``_MR_PROVEN`` row whose bound exceeds n, each
+    set starting with 2, so that only a strong base-2 pseudoprime gets past
+    a row's first round: 2 rounds for n of up to 25 bits, 3 up to 36 bits, 4
+    up to 44, 5 up to 51 and 7 up to 64.  Past 2⁶⁴ the bases are the first
+    12 primes, then the first 13, which cover every
+    n < 3,317,044,064,679,887,385,961,981 (≈ 3.3·10²⁴).  Beyond that bound no
+    finite base set is proven: a failed round on any prime base below 100
+    still proves n composite, and an n that passes them all is settled by odd
+    trial division, which is exact but takes O(√n) steps, so primes above
+    3.3·10²⁴ are slow.
     """
     if n < _CROSSOVER:
         return n > 1 and not _FACTOR_OF[n]
     if n % 2 == 0:
         return False
-    for bound, k in _MR_PROVEN:
+    for bound, bases in _MR_PROVEN:
         if n < bound:
-            return all(_strong_probable_prime(n, a) for a in _MR_BASES[:k])
-    return all(_strong_probable_prime(n, a) for a in _MR_BASES) and all(n % f for f in range(3, isqrt(n) + 1, 2))
+            return _strong_probable_prime(n, bases)
+    return _strong_probable_prime(n, _MR_BASES) and all(n % f for f in range(3, isqrt(n) + 1, 2))
 
 
 def _brent_rho(n: int) -> int:

@@ -205,6 +205,31 @@ class TestDiagonalCoordinates:
                 continue  # a subnormal coordinate has fewer digits than 5 ulp allow for
             assert _near(got.x, float(want[0])) and _near(got.y, float(want[1])), (r, alpha, got)
 
+    def test_polar_element_of_subnormal_r_against_decimal(self):
+        # e^(|α|/2) overflows past |α| ≈ 1419.6, where a subnormal r still gives a
+        # finite result up to |α| ≈ 1455; a subnormal r with a moderate α gives a
+        # normal result that keeps the digits r has
+        rng = random.Random(6)
+        cases = [(1e-310, 1420.0), (-1e-310, -1420.0), (5e-324, 1454.0), (5e-324, 1455.0), (1e-310, 1425.0)]
+        cases += [(10 ** rng.uniform(-323.3, -308), rng.choice((-1, 1)) * rng.uniform(1419, 1456)) for _ in range(300)]
+        cases += [(10 ** rng.uniform(-323.3, -308), rng.uniform(-800, 800)) for _ in range(300)]
+        finite = 0
+        for r, alpha in cases:
+            with localcontext() as ctx:
+                ctx.prec = 60
+                e = Decimal(alpha).exp()
+                want = (Decimal(r) * (e + 1 / e) / 2, Decimal(r) * (e - 1 / e) / 2)
+            if max(abs(w) for w in want) > sys.float_info.max:
+                with pytest.raises(OverflowError, match="out of float range"):
+                    PolarForm(r, alpha).element()
+                continue
+            got = PolarForm(r, alpha).element()
+            if min(abs(w) for w in want) < sys.float_info.min:
+                continue  # a subnormal coordinate has fewer digits than 5 ulp allow for
+            finite += abs(alpha) > 1419.6
+            assert _near(got.x, float(want[0])) and _near(got.y, float(want[1])), (r, alpha, got)
+        assert finite > 50
+
     def test_pow_against_fractions(self):
         rng = random.Random(4)
         cases = [(0.5, 0.49, 400), (3.0, 1.0, 5), (5.0, -3.0, -3), (1.0, 1e-9, 7), (2.0, 1.999, 1500)]

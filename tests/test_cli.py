@@ -597,7 +597,7 @@ def _has_budget(argv):
     but near those bounds a run takes up to two seconds, too long for
     hundreds of examples.  ``classify``/``factor`` work still grows with the
     norm without a limit the CLI enforces, because primality past
-    ψ13 ≈ 3.3·10²⁴ is O(√n) trial division (ROADMAP item 2).  So those argv
+    ψ13 ≈ 3.3·10²⁴ is O(√n) trial division (ROADMAP item 5).  So those argv
     keep n_max and --bound <= 50, --box <= 6, oracle coordinates <= 200 and
     classify/factor coordinates <= 10¹², whose norms stay below ψ13.
     ``classify-poly`` needs no guard: a coefficient whose digits plus

@@ -171,6 +171,111 @@ class TestIntegerKernel:
                 assert a * a + b * b == p and a >= b > 0, p
 
 
+# The earlier cascade, kept as a referee: (ψ_k, k), the first k prime bases below ψ_k
+PSI_CASCADE = (
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_round(n, a):
+    """One Miller–Rabin round on the odd n > 2 to base a, written out independently."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = pow(x, 2, n)
+        if x == n - 1:
+            return True
+    return False
+
+
+def _psi_cascade_is_prime(n):
+    """Referee primality below ψ₁₃: the strong test on the first k primes, k from ``PSI_CASCADE``."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    if n in FIRST_PRIMES:
+        return True
+    k = next(k for bound, k in PSI_CASCADE if n < bound)
+    return all(_strong_round(n, a) for a in FIRST_PRIMES[:k])
+
+
+def _strong_base2_pseudoprimes(lo, hi):
+    """Every odd composite in [lo, hi) that passes the strong test to base 2: a sieve, then one round each."""
+    composite = bytearray(hi)
+    for p in range(2, isqrt(hi) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = b"\1" * len(range(p * p, hi, p))
+    return [n for n in range(lo | 1, hi, 2) if composite[n] and pow(2, n - 1, n) == 1 and _strong_round(n, 2)]
+
+
+class TestProvenBaseTable:
+    """``_MR_PROVEN``: the smallest published base set per size below 2⁶⁴, then ψ₁₂ and ψ₁₃."""
+
+    def test_rows_are_ordered_and_start_with_two(self):
+        bounds = [bound for bound, _ in kernel._MR_PROVEN]
+        assert bounds == sorted(set(bounds))
+        previous = 1 << 16  # the least n the first row serves
+        for bound, bases in kernel._MR_PROVEN:
+            assert bases[0] == 2, bound
+            assert all(1 < a < previous for a in bases), bound  # no base is 0 mod the n its row serves
+            previous = bound
+        assert kernel._MR_PROVEN[-2:] == ((PSI_CASCADE[-2][0], FIRST_PRIMES[:12]), (PSI_CASCADE[-1][0], FIRST_PRIMES))
+        assert bounds[-3] == 1 << 64
+
+    def test_agrees_with_the_psi_cascade_and_sympy_near_every_bound(self):
+        bounds = {bound for bound, _ in kernel._MR_PROVEN} | {bound for bound, _ in PSI_CASCADE}
+        for bound in sorted(bounds):
+            for n in range(bound - 3001, bound + 3001, 2):
+                want = _psi_cascade_is_prime(n)
+                assert want == sympy.isprime(n), n
+                assert is_prime_int(n) == want, n
+
+    def test_agrees_on_random_odd_n(self):
+        rng = random.Random(24)
+        for _ in range(20_000):
+            bits = rng.randint(17, 64)
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            want = _psi_cascade_is_prime(n)
+            assert want == sympy.isprime(n), n
+            assert is_prime_int(n) == want, n
+
+    def test_rejects_products_of_primes_in_pseudoprime_forms(self):
+        # (k+1)(2k+1) and Chernick's (6k+1)(12k+1)(18k+1) are the shapes of the
+        # strong pseudoprimes to many bases; every product below 2⁶⁴ is tried
+        products = []
+        for start in (10**2, 10**4, 10**6, 10**8, 3 * 10**9 - 10**5):
+            for k in range(start, start + 10**5, 2):
+                if sympy.isprime(k + 1) and sympy.isprime(2 * k + 1):
+                    products.append((k + 1) * (2 * k + 1))
+        for k in [*range(1, 3000), *range(2 * 10**5, 2 * 10**5 + 5 * 10**4)]:
+            fs = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+            if all(map(sympy.isprime, fs)):
+                products.append(prod(fs))
+        products = [n for n in products if (1 << 16) <= n < 1 << 64]
+        assert len(products) > 1000 and max(products) > 1 << 60
+        for n in products:
+            assert not _psi_cascade_is_prime(n), n
+            assert not is_prime_int(n), n
+
+    def test_rejects_every_strong_base2_pseudoprime_below_two_to_the_21(self):
+        pseudoprimes = _strong_base2_pseudoprimes(1 << 16, 1 << 21)
+        assert {74665, 80581, 85489, 88357, 90751, 1373653} <= set(pseudoprimes)
+        for n in pseudoprimes:
+            assert not is_prime_int(n), n
+
+
 def _trial_prime_power(n):
     """Reference: the least divisor d >= 2 of n by trial division, then whether n is a power of d."""
     p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
