@@ -20,7 +20,7 @@ import math
 import sys
 from collections.abc import Callable
 
-from .core import RingError, RingKind, _Record, _setfield
+from .core import _ELLIPTIC, _HYPERBOLIC, RingError, RingKind, _Record, _setfield
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -107,7 +107,7 @@ class PolarForm(_Record):
             x, y = _from_diagonal(math.ldexp(m * (s / 2) * s * u, e + 2 * k + l), 2 * self.alpha)
             return (x, y) if self.r >= 0 else (-x, -y)
 
-        return _in_float_range(RingKind.HYPERBOLIC, coords)
+        return _in_float_range(_HYPERBOLIC, coords)
 
 
 def _in_float_range(kind: RingKind, coords: Callable[[], tuple[float, float]]) -> RealElement:
@@ -147,13 +147,13 @@ def exp_theta(z: RealElement) -> RealElement:
     """
 
     def coords() -> tuple[float, float]:
-        if z.kind is RingKind.HYPERBOLIC:
+        if z.kind is _HYPERBOLIC:
             # U = e^(x+y) and V = e^(x−y): max(U, V) = e^(x+|y|) and ln(U/V) = 2y
             s, c = _two_sum(z.x, abs(z.y))
             h = math.exp(s / 2)
             return _from_diagonal(h * (h / 2) * math.exp(c), 2 * z.y)
         scale = math.exp(z.x)
-        if z.kind is RingKind.ELLIPTIC:
+        if z.kind is _ELLIPTIC:
             return scale * math.cos(z.y), scale * math.sin(z.y)
         return scale, scale * z.y
 
@@ -161,7 +161,7 @@ def exp_theta(z: RealElement) -> RealElement:
 
 
 def _check_sector(z: RealElement) -> None:
-    if z.kind is not RingKind.HYPERBOLIC:
+    if z.kind is not _HYPERBOLIC:
         raise OutOfSectorError("polar form exists in the hyperbolic ring only")
     # x > |y| is η > 0 and x > 0, without squares that underflow to η = 0
     if not z.x > abs(z.y):
@@ -205,7 +205,7 @@ def euler_check(x: float) -> tuple[float, float]:
     Returns ``((e^{jx} + e^{-jx})/2, (e^{jx} - e^{-jx})/2j)`` read off the
     real axis; both must match the library cosh/sinh.
     """
-    kind = RingKind.HYPERBOLIC
+    kind = _HYPERBOLIC
     plus = exp_theta(RealElement(kind, 0.0, x))
     minus = exp_theta(RealElement(kind, 0.0, -x))
     cosh_side = RealElement(kind, (plus.x + minus.x) / 2, (plus.y + minus.y) / 2)

@@ -17,6 +17,9 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from .core import (
+    _ELLIPTIC,
+    _HYPERBOLIC,
+    _PARABOLIC,
     Element,
     KindMismatchError,
     RingError,
@@ -24,7 +27,6 @@ from .core import (
     _mk,
     _Record,
     _setfield,
-    diagonal_coords,
     from_diagonal_coords,
 )
 
@@ -112,7 +114,7 @@ def divides(b: Element, a: Element) -> Element | None:
         if nx % e or ny % e:
             return None
         return _mk(kind, nx // e, ny // e)
-    if kind is RingKind.PARABOLIC:
+    if kind is _PARABOLIC:
         # b = kt: its multiples are exactly k·(tm)
         if ax != 0 or ay % by:
             return None
@@ -200,20 +202,26 @@ def _parabolic_basis(gens: list[Element]) -> tuple[int, int, int]:
     """Hermite basis (a, b), (0, d) of a parabolic ideal: a >= 0 and 0 <= b < d.
 
     Each generator x + ky, none of them 0, adds the rows (x, y) and
-    k·(x + ky) = (0, x) to the ℤ-span (see :func:`decompose`).
+    k·(x + ky) = (0, x) to the ℤ-span; the fold runs on them reduced modulo
+    (a², 0) and (0, a), a = gcd(x), which the span holds (see :func:`decompose`).
     """
-    a = b = d = 0
+    a = gcd(*(z.x for z in gens))
+    if not a:  # every generator lies on the axis
+        return 0, 0, gcd(*(z.y for z in gens))
+    a2 = a * a
+    # the span of (a², 0) and (0, a), which holds every row (0, x)
+    f, b, d = a2, 0, a
     for z in gens:
-        x, y = z.x, z.y
+        x, y = z.x % a2, z.y % a
         if not x:
             d = gcd(d, y)
             continue
-        # s·a + t·x = g = gcd(a, x), and x/g·(a, b) − a/g·(x, y) lies on the axis
-        g = gcd(a, x)
-        s = pow(a // g, -1, abs(x) // g)
-        t = (g - s * a) // x
-        d = gcd(d, x, x // g * b - a // g * y)
-        a, b = g, (s * b + t * y) % d
+        # s·f + t·x = g = gcd(f, x), and x/g·(f, b) − f/g·(x, y) lies on the axis
+        g = gcd(f, x)
+        s = pow(f // g, -1, x // g)
+        t = (g - s * f) // x
+        d = gcd(d, x // g * b - f // g * y)
+        f, b = g, (s * b + t * y) % d
     return a, b % d, d
 
 
@@ -221,15 +229,17 @@ def _gaussian_alpha(gens: list[Element]) -> tuple[Element, int]:
     """A Gaussian ideal's canonical α and index D, in closed form (see :func:`decompose`)."""
     pts = [(z.x, z.y) for z in gens]
     g = gcd(*(c for xy in pts for c in xy))
-    pairs = [(u * x + v * y, u * y - v * x) for j, (x, y) in enumerate(pts) for u, v in pts[:j]]
-    index = gcd(*(x * x + y * y for x, y in pts), *(m for pair in pairs for m in pair))
-    n = index // (g * g)
+    g2 = g * g
+    index = _index(pts, g2)
+    n = index // g2
     if n == 1:
-        return _mk(RingKind.ELLIPTIC, g, 0), index
+        return _mk(_ELLIPTIC, g, 0), index
     px = py = 0
     for vx, vy in (v for x, y in pts for v in ((x // g, y // g), (-y // g, x // g))):
         # the largest divisor of n prime to py; once py is prime to n, t = n adds nothing
         t = n // gcd(n, pow(py, n.bit_length(), n))
+        if t == n:
+            break
         px, py = (px + t * vx) % n, (py + t * vy) % n
     c = px * pow(py, -1, n) % n
     r, s = n, c
@@ -239,7 +249,23 @@ def _gaussian_alpha(gens: list[Element]) -> tuple[Element, int]:
     if s * s + t * t != n:
         raise EuclidInvariantError(f"Cornacchia's descent on {n} from {c} left a non-square")
     t = t if (s - c * t) % n == 0 else -t
-    return _mk(RingKind.ELLIPTIC, g * s, g * t).canonical_associate()[0], index
+    return _mk(_ELLIPTIC, g * s, g * t).canonical_associate()[0], index
+
+
+def _index(pts: list[tuple[int, int]], g2: int) -> int:
+    """gcd of the 2×2 minors N(gⱼ), xᵢxⱼ + yᵢyⱼ and xᵢyⱼ − yᵢxⱼ of a Gaussian ideal's rows.
+
+    The content's square g² divides every minor, so the running gcd stops
+    as soon as it reaches g².
+    """
+    index = 0
+    for j, (x, y) in enumerate(pts):
+        index = gcd(index, x * x + y * y)
+        for u, v in pts[:j]:
+            if index == g2:
+                return index
+            index = gcd(index, u * x + v * y, u * y - v * x)
+    return index
 
 
 def decompose(ideal: FGIdeal) -> IdealDecomposition:
@@ -249,30 +275,38 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
     :func:`ideal_contains` exact.
 
     Parabolic ideals have a closed form.  As (c + ke)·g = c·g + e·(k·g), the
-    ideal is the ℤ-span of the nonzero gᵢ = (xᵢ, yᵢ) and k·gᵢ = (0, xᵢ).  One
-    extended-gcd fold over these rows gives its Hermite basis (a, b), (0, d):
-    a row (x, y) with x ≠ 0 takes a to g = gcd(a, x) = s·a + t·x and b to
-    s·b + t·y, and leaves (x/g)·b − (a/g)·y on the axis, a unimodular step;
-    an axis row (0, y) takes d to gcd(d, y).  If a = 0 every generator lies on
-    the axis: there is no α, and the axis generator is d.  Otherwise every x
-    in the ideal is a multiple of a and η = x², so α = a + k·(b mod d) has
-    least nonzero norm, and the ideal meets the axis in dℤ.  As k·α = (0, a)
-    lies in the ideal, d | a, so 0 <= b mod d < d <= a is already the range
-    of :meth:`Element.canonical_associate`.  (a, b mod d, d) is the Hermite
-    form of the lattice, so α does not depend on the order of the generators.
+    ideal is the ℤ-span of the nonzero gᵢ = (xᵢ, yᵢ) and k·gᵢ = (0, xᵢ).  Every
+    x in it is a multiple of a = gcd(xᵢ), and η = x².  If a = 0 every generator
+    lies on the axis: there is no α, and the axis generator is gcd(yᵢ).
+    Otherwise the span holds (0, a) = Σ cᵢ·k·gᵢ, for Σ cᵢxᵢ = a, and (a², 0):
+    it holds some a + kb, and a·(a + kb) − b·k(a + kb) = a².  So the rows
+    (xᵢ mod a², yᵢ mod a) with (a², 0) and (0, a) span it too, as in Hermite
+    forms modulo a multiple of the index (Domich, Kannan & Trotter 1987;
+    Cohen 1993, §2.4.2), and the (0, xᵢ) are multiples of (0, a).  One
+    extended-gcd fold over these rows, from (f, b) = (a², 0) and d = a, gives
+    its Hermite basis (a, b), (0, d) on numbers of a²'s size, not the
+    generators': a row (x, y) with x ≠ 0 takes f to g = gcd(f, x) = s·f + t·x
+    and b to s·b + t·y, and leaves (x/g)·b − (f/g)·y on the axis, a unimodular
+    step; an axis row (0, y) takes d to gcd(d, y).  So α = a + k·(b mod d) has
+    least nonzero norm, and the ideal meets the axis in dℤ.  As d | a,
+    0 <= b mod d < d <= a is already the range of
+    :meth:`Element.canonical_associate`.  (a, b mod d, d) is the Hermite form
+    of the lattice, so α does not depend on the order of the generators.
 
     Gaussian ideals have a closed form.  The ideal is (α), since ℤ[i] is a
     PID, and the ℤ-span of the nonzero gᵢ = (xᵢ, yᵢ) and i·gᵢ.  Its content
     g (gcd of all coordinates) is α's; its index D (gcd of the 2×2 minors
-    N(gᵢ), xᵢxⱼ + yᵢyⱼ and xᵢyⱼ − yᵢxⱼ) is N(α).  So α = g·β with β = s + ti
+    N(gᵢ), xᵢxⱼ + yᵢyⱼ and xᵢyⱼ − yᵢxⱼ) is N(α).  g² divides every minor, so
+    the running gcd stops once it reaches g².  So α = g·β with β = s + ti
     primitive of norm n = D/g², and t is prime to n.  For c = s·t⁻¹ mod n,
     x ≡ c·y (mod n) is a lattice of index n holding β and iβ: it is (β), and
     c² ≡ −1.  So c = X·Y⁻¹ for any (X, Y) in (β) with Y prime to n, found by
     folding in the gᵢ/g and i·gᵢ/g as (X, Y) += t·v, t the largest divisor
     of n prime to Y: a prime of n stays in Y only if it divides every v's y,
-    and their gcd is 1.  Cornacchia's descent (Basilla 2004 for composite n):
-    the first remainder s of Euclid on (n, c) with s² <= n has n − s² = t²
-    and s ≡ ±c·t (mod n), and the sign that puts s + ti in (β) makes it β.
+    and their gcd is 1.  Once Y is prime to n, t = n and the fold stops.
+    Cornacchia's descent (Basilla 2004 for composite n): the first remainder
+    s of Euclid on (n, c) with s² <= n has n − s² = t² and s ≡ ±c·t (mod n),
+    and the sign that puts s + ti in (β) makes it β.
 
     Hyperbolic ideals have a closed form.  In the diagonal coordinates
     (u, v) = (x+y, x−y) the product is componentwise and η = uv.  Put
@@ -299,15 +333,15 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
     if not gens:
         return IdealDecomposition(kind, None, 0, 0, 0)
 
-    if kind is RingKind.HYPERBOLIC:
-        uvs = [diagonal_coords(g) for g in gens]
+    if kind is _HYPERBOLIC:
+        uvs = [(g.x + g.y, g.x - g.y) for g in gens]
         p = gcd(*(u for u, _ in uvs))
         q = gcd(*(v for _, v in uvs))
         if not (p and q):
             return IdealDecomposition(kind, None, p // 2, q // 2, 0)
         k = 2 if all((u // p - v // q) % 2 == 0 for u, v in uvs) else 1
         alpha = from_diagonal_coords(p, q)
-    elif kind is RingKind.ELLIPTIC:
+    elif kind is _ELLIPTIC:
         alpha, index = _gaussian_alpha(gens)
     else:
         a, b, d = _parabolic_basis(gens)
@@ -318,9 +352,9 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
     alpha2, residues = _descend(gens, alpha)
     if alpha2 != alpha:
         raise EuclidInvariantError(f"descent found {alpha2} below {alpha}: α was not minimal")
-    if kind is RingKind.HYPERBOLIC:
+    if kind is _HYPERBOLIC:
         return IdealDecomposition(kind, alpha, k * p // 2, k * q // 2, 0)
-    if kind is RingKind.ELLIPTIC:
+    if kind is _ELLIPTIC:
         if any(residues):
             raise EuclidInvariantError(f"nonzero elliptic residues {residues} after descent")
         if alpha.eta != index:
@@ -342,17 +376,18 @@ def ideal_contains(dec: IdealDecomposition, z: Element) -> bool:
     if z.kind is not kind:
         raise KindMismatchError(f"element of {z.kind.name} against a {kind.name} ideal")
     x, y = z.x, z.y
-    if dec.alpha is None:  # z must lie on a zero-divisor line the ideal meets
-        if kind is RingKind.PARABOLIC:
+    alpha = dec.alpha
+    if alpha is None:  # z must lie on a zero-divisor line the ideal meets
+        if kind is _PARABOLIC:
             on_line, g = x == 0, dec.d0_gen
         else:  # the diagonals; every line generator of an elliptic ideal is 0
             on_line, g = abs(x) == abs(y), dec.dplus_gen if x == y else dec.dminus_gen
         return not z or (on_line and g != 0 and y % g == 0)
-    a, b = dec.alpha.x, dec.alpha.y
-    if kind is RingKind.ELLIPTIC:
+    a, b = alpha.x, alpha.y
+    if kind is _ELLIPTIC:
         n = a * a + b * b
         return (x * a + y * b) % n == 0 and (y * a - x * b) % n == 0
-    if kind is RingKind.HYPERBOLIC:
+    if kind is _HYPERBOLIC:
         p, q, u, v = a + b, a - b, x + y, x - y
         return not (u % p or v % q) and (dec.dplus_gen != p or (u // p - v // q) % 2 == 0)
     return x % a == 0 and (y - b * (x // a)) % dec.d0_gen == 0

@@ -33,7 +33,19 @@ reaches, down to the choice among the non-unique factorizations.
 from __future__ import annotations
 
 from .classification import is_irreducible
-from .core import Element, RingError, RingKind, _mk, _Record, _setfield, diagonal_coords, from_diagonal_coords
+from .core import (
+    _ELLIPTIC,
+    _HYPERBOLIC,
+    _PARABOLIC,
+    Element,
+    RingError,
+    RingKind,
+    _mk,
+    _Record,
+    _setfield,
+    diagonal_coords,
+    from_diagonal_coords,
+)
 from .euclid import divides
 from .integers import int_factor, sum_two_squares, two_adic_valuation
 
@@ -51,7 +63,7 @@ def _check_splittable(a: Element) -> None:
         raise ValueError("zero cannot be factored")
     if a.is_unit():
         raise ValueError("units cannot be factored")
-    if a.kind is RingKind.HYPERBOLIC and a.eta == 0:
+    if a.kind is _HYPERBOLIC and a.eta == 0:
         raise ZeroDivisorFactorizationError(
             "hyperbolic zero divisors have no irreducible factorization"
         )
@@ -114,9 +126,9 @@ def split(a: Element) -> tuple[Element, Element] | None:
     if is_irreducible(a):
         return None
     kind = a.kind
-    if kind is RingKind.ELLIPTIC:
+    if kind is _ELLIPTIC:
         witnesses = (c for p, _ in int_factor(a.eta_plus)[1] for c in _gaussian_primes(kind, p))
-    elif kind is RingKind.HYPERBOLIC:
+    elif kind is _HYPERBOLIC:
         witnesses = [from_diagonal_coords(*_hyperbolic_peel(a)[2][0])]
     elif a.x == 0:
         witnesses = [_mk(kind, a.y, 0)]
@@ -226,9 +238,9 @@ def _factor_parabolic(a: Element) -> tuple[Element, list[Element]]:
 
 
 _FACTOR = {
-    RingKind.ELLIPTIC: _factor_elliptic,
-    RingKind.HYPERBOLIC: _factor_hyperbolic,
-    RingKind.PARABOLIC: _factor_parabolic,
+    _ELLIPTIC: _factor_elliptic,
+    _HYPERBOLIC: _factor_hyperbolic,
+    _PARABOLIC: _factor_parabolic,
 }
 
 
@@ -237,7 +249,7 @@ def factor(a: Element) -> Factorization:
     _check_splittable(a)
     unit, factors = _FACTOR[a.kind](a)
     factors.sort(key=lambda f: (f.eta_plus, f.x, f.y))
-    return Factorization(unit, tuple(factors), a.kind is RingKind.PARABOLIC and a.eta == 0)
+    return Factorization(unit, tuple(factors), a.kind is _PARABOLIC and a.eta == 0)
 
 
 __all__ = [

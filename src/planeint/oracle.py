@@ -26,6 +26,9 @@ from enum import Enum
 from math import isqrt
 
 from .core import (
+    _ELLIPTIC,
+    _HYPERBOLIC,
+    _PARABOLIC,
     Element,
     RingError,
     RingKind,
@@ -118,11 +121,11 @@ def _candidates_elliptic(z: Element) -> Iterator[Element]:
 def _divisor_classes(z: Element) -> Iterator[Element]:
     if not z:
         raise ValueError("zero has every element as a divisor")
-    if z.kind is RingKind.HYPERBOLIC:
+    if z.kind is _HYPERBOLIC:
         if z.eta == 0:
             raise InfiniteDivisorSetError(f"{z} lies on a diagonal")
         return _candidates_hyperbolic(z)
-    if z.kind is RingKind.PARABOLIC:
+    if z.kind is _PARABOLIC:
         return _candidates_parabolic(z)
     return _candidates_elliptic(z)
 
@@ -172,10 +175,10 @@ def oracle_prime(z: Element, box: int) -> OracleVerdict:
         return divides(z, w) is not None
 
     kind = z.kind
-    if kind is not RingKind.ELLIPTIC:
+    if kind is not _ELLIPTIC:
         for t in range(1, box + 1):
             ds = [Element(kind, t, t), Element(kind, t, -t)]
-            if kind is RingKind.PARABOLIC:
+            if kind is _PARABOLIC:
                 ds = [Element(kind, 0, t)]
             for d in ds:
                 dc = d.conj()

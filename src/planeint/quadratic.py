@@ -13,7 +13,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .core import RingKind, _Record, _setfield
+from .core import _ELLIPTIC, _HYPERBOLIC, _PARABOLIC, RingKind, _Record, _setfield
 
 RationalLike = Fraction | int | str
 
@@ -71,10 +71,10 @@ class QuadraticPoly(_Record):
 
 def _kind_of_disc(disc: Fraction) -> RingKind:
     if disc < 0:
-        return RingKind.ELLIPTIC
+        return _ELLIPTIC
     if disc > 0:
-        return RingKind.HYPERBOLIC
-    return RingKind.PARABOLIC
+        return _HYPERBOLIC
+    return _PARABOLIC
 
 
 def classify_quadratic(poly: QuadraticPoly) -> RingKind:

@@ -390,6 +390,10 @@ class TestGoldenOutput:
                 (argv, 0, "alpha       2+0k\ndiag + gen  0\ndiag - gen  0\naxis gen    1\n", "")
                 for argv in ("ideal -- -2-2k -2-1k", "ideal -- -2-1k -2-2k")
             ),
+            # a = gcd(12, 18) = 6, so the parabolic fold runs modulo a² = 36 and a
+            ("ideal 12+4k 18+2k", 0, "alpha       6+0k\ndiag + gen  0\ndiag - gen  0\naxis gen    2\n", ""),
+            # index 5 over content 1: n = 5, and Cornacchia's descent gives 2+1i
+            ("ideal 5+0i 3+4i", 0, "alpha       2+1i\ndiag + gen  0\ndiag - gen  0\naxis gen    0\n", ""),
             # a result past the float range: from float **, math.exp, a product of finite
             # floats, and one that would have been blamed on the input
             *(

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,55 @@ class TestDecompose:
             FGIdeal(RingKind.HYPERBOLIC, (K(1, 0),))
         with pytest.raises(KindMismatchError):
             ideal_contains(decompose(FGIdeal.of(H(2, 0))), K(2, 0))
+
+
+def _all_minors(pts):
+    """Every 2×2 minor of a Gaussian ideal's rows: each N(g), then each pair's dot and cross product."""
+    pairs = itertools.combinations(pts, 2)
+    norms = [x * x + y * y for x, y in pts]
+    return norms + [m for (u, v), (x, y) in pairs for m in (u * x + v * y, u * y - v * x)]
+
+
+class TestReducedClosedForms:
+    """The parabolic fold runs modulo (a², 0) and (0, a); the Gaussian index stops at g²."""
+
+    @given(
+        st.integers(1, 2**200),
+        st.lists(
+            st.tuples(st.integers(-(2**64), 2**64).filter(bool), st.integers(-(2**64), 2**64)),
+            min_size=1, max_size=3,
+        ),
+        st.lists(st.integers(-(2**200), 2**200).filter(bool), max_size=2),
+        st.booleans(),
+    )
+    def test_parabolic_basis_with_common_factor(self, c, rows, axis, shared_y):
+        # every x shares c, so a and a² are at least c and c²: reducing modulo them shrinks nothing
+        pts = [(c * x, c * y if shared_y else y) for x, y in rows] + [(0, y) for y in axis]
+        gens = [K(x, y) for x, y in pts]
+        a, b, d = euclid._parabolic_basis(gens)
+        assert a % c == 0
+        assert (a, d) == parabolic_descent(pts)
+        lattice = ideal_lattice(gens)
+        assert (a, b, d) == lattice
+        assert lattice_contains(lattice, K(a * a, 0)) and lattice_contains(lattice, K(0, a))
+
+    @given(
+        st.lists(st.tuples(*[st.integers(-(2**64), 2**64)] * 2).filter(any), min_size=1, max_size=4),
+        st.tuples(*[st.integers(-(2**100), 2**100)] * 2).filter(any),
+    )
+    def test_gaussian_index_is_the_gcd_of_all_minors(self, pts, common):
+        # a shared factor gives the index a large content square and a large n
+        for gens in ([C(*p) for p in pts], [C(*p) * C(*common) for p in pts]):
+            _, index = euclid._gaussian_alpha(gens)
+            assert index == gcd(*_all_minors([(g.x, g.y) for g in gens]))
+
+    def test_gaussian_index_reaches_content_square_at_the_last_pair(self):
+        # g = 3: every minor but the last pair's is a multiple of 5·g² = 45, and that pair's
+        # minors 27 and −36 bring the gcd down to g²
+        pts = [(15, 0), (6, 3), (6, -3)]
+        assert gcd(*_all_minors(pts)[:-2]) == 45
+        assert euclid._gaussian_alpha([C(*p) for p in pts]) == (C(3, 0), 9)
+        assert decompose(FGIdeal.of(*(C(*p) for p in pts))).alpha == C(3, 0)
 
 
 def _least_on_line(basis, sign):

@@ -111,6 +111,24 @@ def test_only_classification_imports_dataclasses():
     assert importers == {"classification.py"}
 
 
+def test_ring_dispatch_reads_core_globals():
+    """Reading ``RingKind.ELLIPTIC`` goes through the enum metaclass, about 10x a global lookup.
+
+    ``core`` binds the members once, as ``_ELLIPTIC, _HYPERBOLIC, _PARABOLIC =
+    RingKind``, and every module dispatches on those globals.
+    """
+    reads = [
+        (path.name, node.lineno)
+        for path in sorted((SRC / "planeint").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "RingKind"
+        and node.attr in {"ELLIPTIC", "HYPERBOLIC", "PARABOLIC"}
+    ]
+    assert reads == []
+
+
 class TestPackageNames:
     def test_functions_survive_every_submodule_import(self):
         # a submodule named like a function would replace it on the package when it loads
