@@ -17,20 +17,22 @@ Highlights of the landscape these rules encode:
   ``x + ky`` (taken with x > 0) is irreducible iff x is prime, or x is a
   prime power ``p^γ`` (γ >= 2) with ``p ∤ y``.
 
-Each ring's rule is stated once, in ``_verdict``; :func:`is_prime`,
-:func:`is_irreducible`, :func:`classify`, :func:`prime_integer_behavior` and
-:func:`planeint.factorization.split` all read their answer from it.
+Each ring's rule, and the rule that zero and units carry no prime or
+irreducible flag, is stated once, in :func:`classify`.  :func:`is_prime`,
+:func:`is_irreducible` and :func:`planeint.factorization.split` read their
+answer from its verdict; :func:`prime_integer_behavior` takes its flags from
+it and its witness from ``split``.
 
-Cost model: :func:`classify`, :func:`is_prime` and :func:`is_irreducible`
-compute the norm once, from x, y and θ², and ``classify`` builds no record:
-it returns one of a fixed set of interned ``Classification`` instances (zero,
-units, and one per zero-divisor/prime/irreducible triple), so equal verdicts
-are the same object.  A Gaussian or hyperbolic verdict makes one primality
-test, of the norm (of the integer on the Gaussian axes).  A parabolic verdict
-reads an x below 2¹⁶ from a table and never factors a larger one:
-``_prime_power`` strips the primes below 2¹² with one gcd, makes one
-primality test of what is left, and tries a few exact integer roots only
-when that is composite.
+Cost model: :func:`classify` computes the norm once, from x, y and θ², and
+builds no record: it returns one of a fixed set of interned
+``Classification`` instances (zero, units, and one per
+zero-divisor/prime/irreducible triple), so equal verdicts are the same
+object.  :func:`is_prime` and :func:`is_irreducible` cost one ``classify``.
+A Gaussian or hyperbolic verdict makes one primality test, of the norm (of
+the integer on the Gaussian axes).  A parabolic verdict reads an x below 2¹⁶
+from a table and never factors a larger one: ``_prime_power`` strips the
+primes below 2¹² with one gcd, makes one primality test of what is left, and
+tries a few exact integer roots only when that is composite.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import _HYPERBOLIC, _PARABOLIC, Element, RingKind, _Record, _setfield
-from .integers import _prime_power, is_prime_int, sum_two_squares
+from .integers import _prime_power, is_prime_int
 
 
 # the package's one dataclass: callers may use dataclasses.replace on a verdict
@@ -92,67 +94,53 @@ _VERDICTS = tuple(
 )
 
 
-def _eta_plus(z: Element) -> int:
-    """``z.eta_plus`` read from the coordinates, without the property chain."""
-    x, y = z.x, z.y
-    return abs(x * x - z.kind.mu * y * y)
-
-
-def _verdict(z: Element, ep: int) -> tuple[bool, bool]:
-    """``(prime, irreducible)`` for a nonzero non-unit z of absolute norm ep."""
-    kind = z.kind
-    if kind is _PARABOLIC:
-        if z.x == 0:
-            return abs(z.y) == 1, abs(z.y) == 1
-        # off the axis: |x| = p, or |x| = p^g with p ∤ y
-        power = _prime_power(abs(z.x))
-        return False, power is not None and (power[1] == 1 or z.y % power[0] != 0)
-    if kind is _HYPERBOLIC:
-        if ep == 0:
-            return abs(z.x) == 1, False  # on the diagonals |x| == |y|
-        if is_prime_int(ep):
-            return True, True
-        if ep < 4 or ep & (ep - 1):
-            return False, False
-        # the irreducible non-primes of norm 2^(γ+2) are the associates ±z, ±jz
-        # of (2^γ+1) ± j(2^γ-1), i.e. {|x|, |y|} == {2^γ+1, 2^γ-1}
-        half = ep >> 2
-        return False, {abs(z.x), abs(z.y)} == {half + 1, half - 1}
-    # elliptic: prime norm, or an associate of an integer prime p ≡ 3 (mod 4)
-    if z.x and z.y:
-        prime = is_prime_int(ep)
-    else:
-        n = abs(z.x + z.y)
-        prime = n % 4 == 3 and is_prime_int(n)
-    return prime, prime
-
-
-def is_prime(z: Element) -> bool:
-    """Prime in the ring-theoretic sense: ``p | ab`` forces ``p | a`` or ``p | b``."""
-    ep = _eta_plus(z)
-    return ep != 1 and bool(z) and _verdict(z, ep)[0]
-
-
-def is_irreducible(z: Element) -> bool:
-    """Irreducible: every factorization has a unit factor."""
-    ep = _eta_plus(z)
-    return ep != 1 and bool(z) and _verdict(z, ep)[1]
-
-
 def classify(z: Element) -> Classification:
     """Joint verdict; zero and units carry no prime/irreducible/reducible flags.
 
     The norm is computed once, and the result is one of the module's interned
     ``Classification`` instances: equal verdicts are the same object.
     """
-    x, y = z.x, z.y
-    ep = abs(x * x - z.kind.mu * y * y)  # _eta_plus(z), inlined
+    x, y, kind = z.x, z.y, z.kind
+    ep = abs(x * x - kind.mu * y * y)
     if ep == 1:
         return _UNIT
     if not (x or y):
         return _ZERO
-    prime, irr = _verdict(z, ep)
+    if kind is _PARABOLIC:
+        if x == 0:
+            prime = irr = abs(y) == 1
+        else:
+            # off the axis: |x| = p, or |x| = p^g with p ∤ y
+            power = _prime_power(abs(x))
+            prime, irr = False, power is not None and (power[1] == 1 or y % power[0] != 0)
+    elif kind is _HYPERBOLIC:
+        if ep == 0:
+            prime, irr = abs(x) == 1, False  # on the diagonals |x| == |y|
+        elif is_prime_int(ep):
+            prime = irr = True
+        elif ep < 4 or ep & (ep - 1):
+            prime = irr = False
+        else:
+            # the irreducible non-primes of norm 2^(γ+2) are the associates ±z, ±jz
+            # of (2^γ+1) ± j(2^γ-1), i.e. {|x|, |y|} == {2^γ+1, 2^γ-1}
+            half = ep >> 2
+            prime, irr = False, {abs(x), abs(y)} == {half + 1, half - 1}
+    elif x and y:  # elliptic: prime norm, or an associate of an integer prime p ≡ 3 (mod 4)
+        prime = irr = is_prime_int(ep)
+    else:
+        n = abs(x + y)
+        prime = irr = n % 4 == 3 and is_prime_int(n)
     return _VERDICTS[ep == 0][prime][irr]
+
+
+def is_prime(z: Element) -> bool:
+    """Prime in the ring-theoretic sense: ``p | ab`` forces ``p | a`` or ``p | b``."""
+    return classify(z).is_prime
+
+
+def is_irreducible(z: Element) -> bool:
+    """Irreducible: every factorization has a unit factor."""
+    return classify(z).is_irreducible
 
 
 class PrimeIntegerReport(_Record):
@@ -174,21 +162,18 @@ class PrimeIntegerReport(_Record):
 def prime_integer_behavior(p: int, kind: RingKind) -> PrimeIntegerReport:
     """Prime/irreducible status of the integer prime p in the given ring.
 
-    Where p splits, a witness pair of non-unit factors with product p is
-    returned: ``((n+1)+jn)((n+1)-jn)`` for odd p in the hyperbolic ring, a
-    conjugate pair from the two-squares representation in the Gaussian one.
+    The flags are :func:`classify`'s verdict on ``p + 0θ``; where p splits,
+    the witness is :func:`planeint.factorization.split`'s pair of non-unit
+    factors with product p, e.g. ``((n+1)+jn)((n+1)-jn)`` for p = 2n+1 in the
+    hyperbolic ring and a conjugate pair ``(a+ib)(a-ib)`` in the Gaussian one.
     """
+    from .factorization import split  # factorization imports this module
+
     if not is_prime_int(p):
         raise ValueError(f"{p} is not prime")
-    prime, irreducible = _verdict(Element(kind, p, 0), p * p)
-    witness = None
-    if not irreducible and kind is _HYPERBOLIC:
-        n = (p - 1) // 2
-        witness = (Element(kind, n + 1, n), Element(kind, n + 1, -n))
-    elif not irreducible:  # elliptic: p = (a + ib)(a - ib)
-        a, b = sum_two_squares(p)
-        witness = (Element(kind, a, b), Element(kind, a, -b))
-    return PrimeIntegerReport(prime, irreducible, witness)
+    z = Element(kind, p, 0)
+    c = classify(z)
+    return PrimeIntegerReport(c.is_prime, c.is_irreducible, split(z))
 
 
 __all__ = [

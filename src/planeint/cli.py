@@ -46,21 +46,24 @@ _RE_FULL = re.compile(r"\s*([+-]?\d+)\s*([+-])\s*(\d*)\s*([ijk])\s*")
 _RE_IMAG = re.compile(r"\s*([+-]?)\s*(\d*)\s*([ijk])\s*")
 
 
-def parse_element(text: str, ring_hint: RingKind | None = None) -> Element:
-    """Parse the shared element grammar; pure integers need a ring hint."""
+def parse_element(text: str, ring_hint: RingKind | None = None, hint_from: str | None = None) -> Element:
+    """Parse the shared element grammar; pure integers need a ring hint.
+
+    ``hint_from`` is the operand whose ring the hint is; None means --ring.
+    """
     m = _RE_FULL.fullmatch(text)
     if m:
         x = _int(m.group(1))
         coef = _int(m.group(3)) if m.group(3) else 1
         y = coef if m.group(2) == "+" else -coef
         kind = RingKind.from_symbol(m.group(4))
-        return _with_hint(Element(kind, x, y), ring_hint, text)
+        return _with_hint(Element(kind, x, y), ring_hint, hint_from, text)
     m = _RE_IMAG.fullmatch(text)
     if m:
         coef = _int(m.group(2)) if m.group(2) else 1
         y = -coef if m.group(1) == "-" else coef
         kind = RingKind.from_symbol(m.group(3))
-        return _with_hint(Element(kind, 0, y), ring_hint, text)
+        return _with_hint(Element(kind, 0, y), ring_hint, hint_from, text)
     m = _RE_REAL.fullmatch(text)
     if m:
         if ring_hint is None:
@@ -94,11 +97,13 @@ def _int(digits: str) -> int:
     return int(digits)
 
 
-def _with_hint(z: Element, hint: RingKind | None, text: str) -> Element:
+def _with_hint(z: Element, hint: RingKind | None, hint_from: str | None, text: str) -> Element:
     if hint is not None and hint is not z.kind:
-        raise ElementParseError(
-            f"{text!r} names ring {z.kind.symbol} but --ring {hint.symbol} was given"
-        )
+        if hint_from is None:
+            given = f"--ring {hint.symbol} was given"
+        else:
+            given = f"{hint_from!r} names ring {hint.symbol}"
+        raise ElementParseError(f"{text!r} names ring {z.kind.symbol} but {given}")
     return z
 
 
@@ -208,7 +213,7 @@ def _cmd_divmod(args: argparse.Namespace) -> Output:
     from .euclid import div_rem
 
     a = parse_element(args.a, _ring_arg(args))
-    b = parse_element(args.b, a.kind)
+    b = parse_element(args.b, a.kind, None if args.ring else args.a)
     res = div_rem(a, b)
     remainder_norm, divisor_norm = res.remainder.eta_plus, b.eta_plus
     payload = {
@@ -258,7 +263,8 @@ def _cmd_ideal(args: argparse.Namespace) -> Output:
     from .euclid import FGIdeal, decompose, ideal_contains
 
     first = parse_element(args.generators[0], _ring_arg(args))
-    gens = [first, *(parse_element(text, first.kind) for text in args.generators[1:])]
+    hint_from = None if args.ring else args.generators[0]
+    gens = [first, *(parse_element(text, first.kind, hint_from) for text in args.generators[1:])]
     dec = decompose(FGIdeal(first.kind, tuple(gens)))
     payload = {
         "ring": dec.kind.symbol,
@@ -269,7 +275,7 @@ def _cmd_ideal(args: argparse.Namespace) -> Output:
         "d0_gen": str(dec.d0_gen),
     }
     if args.contains is not None:
-        z = parse_element(args.contains, first.kind)
+        z = parse_element(args.contains, first.kind, hint_from)
         payload["contains"] = {"element": z, "member": ideal_contains(dec, z)}
     return payload, _render_ideal
 

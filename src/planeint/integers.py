@@ -98,8 +98,10 @@ def is_prime_int(n: int) -> bool:
     n < 3,317,044,064,679,887,385,961,981 (≈ 3.3·10²⁴).  Beyond that bound no
     finite base set is proven: a failed round on any prime base below 100
     still proves n composite, and an n that passes them all is settled by odd
-    trial division, which is exact but takes O(√n) steps, so primes above
-    3.3·10²⁴ are slow.
+    trial division, which is exact but takes O(√n) steps, so for a prime
+    above 3.3·10²⁴ it does not finish in practice (2⁸⁹ - 1 would take about
+    10¹³ divisions).  ROADMAP items 2 (an operation budget) and 4 (exact
+    primality at every size) replace this path.
     """
     if n < _CROSSOVER:
         return n > 1 and not _FACTOR_OF[n]

@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from planeint import (
     Classification,
     Element,
     IrreducibleForm,
+    PrimeIntegerReport,
     RingKind,
     classify,
     divides,
@@ -19,6 +21,7 @@ from planeint import (
     is_prime_int,
     parabolic,
     prime_integer_behavior,
+    split,
 )
 
 H, K, C = hyperbolic, parabolic, elliptic
@@ -132,12 +135,37 @@ class TestClassify:
             assert len(calls) == 1, (z, calls)
 
 
+def _reference_flags(z):
+    """(prime, irreducible) for a nonzero non-unit, from sympy and the paper's rules."""
+    x, y = abs(z.x), abs(z.y)
+    if z.kind is RingKind.ELLIPTIC:
+        # prime norm off the axes; on them, an integer prime p ≡ 3 (mod 4)
+        prime = sympy.isprime(x * x + y * y) if x and y else (x + y) % 4 == 3 and sympy.isprime(x + y)
+        return prime, prime
+    if z.kind is RingKind.HYPERBOLIC:
+        if x == y:  # the diagonals: the associates of 1 ± j are prime, nothing is irreducible
+            return x == 1, False
+        if sympy.isprime(abs(x * x - y * y)):
+            return True, True
+        # the associates of (2^γ+1) ± j(2^γ-1): the larger coordinate exceeds the
+        # smaller by 2, and their sum is a power of two
+        low, high = sorted((x, y))
+        return False, high - low == 2 and (high + low) & (high + low - 1) == 0
+    if x == 0:  # the parabolic axis: ±k
+        return y == 1, y == 1
+    factors = sympy.factorint(x)  # off the axis: |x| = p, or |x| = p^g with p ∤ y
+    if len(factors) != 1:
+        return False, False
+    ((p, g),) = factors.items()
+    return False, g == 1 or y % p != 0
+
+
 def reference_classify(z):
-    """The verdict built field by field, as classify built a new record per call."""
+    """The verdict built field by field, independently of planeint.classification."""
     zero, unit = not z, z.is_unit()
-    irreducible = is_irreducible(z)
+    prime, irreducible = (False, False) if zero or unit else _reference_flags(z)
     reducible = not zero and not unit and not irreducible
-    return Classification(zero, unit, z.is_zero_divisor(), is_prime(z), irreducible, reducible)
+    return Classification(zero, unit, z.is_zero_divisor(), prime, irreducible, reducible)
 
 
 # a prime norm above the proven Miller-Rabin bound (about 2^81.4) is trial-divided,
@@ -322,6 +350,13 @@ class TestPrimeIntegerBehavior:
         assert r.is_prime_elt and r.is_irreducible_elt and r.witness is None
         r = prime_integer_behavior(2, RingKind.ELLIPTIC)
         assert not r.is_prime_elt and not r.is_irreducible_elt
+
+    @pytest.mark.parametrize("kind", list(RingKind))
+    def test_flags_are_classify_and_the_witness_is_split(self, kind):
+        for p in [*sympy.primerange(2000), 2**31 - 1, 998_244_353, 2**61 - 1]:
+            z = Element(kind, p, 0)
+            c = classify(z)
+            assert prime_integer_behavior(p, kind) == PrimeIntegerReport(c.is_prime, c.is_irreducible, split(z)), p
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):

@@ -106,6 +106,22 @@ class TestCommands:
         rc, _, err = run(capsys, "divmod", "5+3j", "2+2j")
         assert rc == 1
 
+    # without --ring, the ring of the later operands is the first operand's, and
+    # a mismatch names that operand; with --ring, it names the option
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            ("divmod 3+1i 1+1j", "'1+1j' names ring j but '3+1i' names ring i"),
+            ("ideal 2+0k 3+0i", "'3+0i' names ring i but '2+0k' names ring k"),
+            ("ideal 2+0k 4+1k --contains 3+0i", "'3+0i' names ring i but '2+0k' names ring k"),
+            ("divmod --ring i 3+1i 1+1j", "'1+1j' names ring j but --ring i was given"),
+            ("divmod --ring i 5 1+1j", "'1+1j' names ring j but --ring i was given"),
+            ("ideal --ring k 2 4+1k --contains 3+0i", "'3+0i' names ring i but --ring k was given"),
+        ],
+    )
+    def test_ring_mismatch_names_the_hint(self, capsys, argv, message):
+        assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
     def test_norm(self, capsys):
         rc, out, _ = run(capsys, "--json", "norm", "3+1j")
         data = json.loads(out)
@@ -601,9 +617,10 @@ def _has_budget(argv):
     but near those bounds a run takes up to two seconds, too long for
     hundreds of examples.  ``classify``/``factor`` work still grows with the
     norm without a limit the CLI enforces, because primality past
-    ψ13 ≈ 3.3·10²⁴ is O(√n) trial division (ROADMAP item 5).  So those argv
-    keep n_max and --bound <= 50, --box <= 6, oracle coordinates <= 200 and
-    classify/factor coordinates <= 10¹², whose norms stay below ψ13.
+    ψ13 ≈ 3.3·10²⁴ is O(√n) trial division (ROADMAP items 2 and 4).  So
+    those argv keep n_max and --bound <= 50, --box <= 6, oracle coordinates
+    <= 200 and classify/factor coordinates <= 10¹², whose norms stay below
+    ψ13.
     ``classify-poly`` needs no guard: a coefficient whose digits plus
     exponent pass the literal limit is refused before ``Fraction`` reads it.
     """
