@@ -20,7 +20,7 @@ import math
 import sys
 from collections.abc import Callable
 
-from .core import _ELLIPTIC, _HYPERBOLIC, RingError, RingKind, _Record, _setfield
+from .core import _ELLIPTIC, _HYPERBOLIC, RingError, RingKind, _Record
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -43,9 +43,10 @@ class RealElement(_Record):
             raise TypeError(f"kind must be a RingKind, got {kind!r}")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("coordinates must be finite")
-        _setfield(self, "kind", kind)
-        _setfield(self, "x", x)
-        _setfield(self, "y", y)
+        set_kind, set_x, set_y = self._setters
+        set_kind(self, kind)
+        set_x(self, x)
+        set_y(self, y)
 
     def __add__(self, other: RealElement) -> RealElement:
         self._check(other)
@@ -84,8 +85,9 @@ class PolarForm(_Record):
     alpha: float
 
     def __init__(self, r: float, alpha: float) -> None:
-        _setfield(self, "r", r)
-        _setfield(self, "alpha", alpha)
+        set_r, set_alpha = self._setters
+        set_r(self, r)
+        set_alpha(self, alpha)
 
     def element(self) -> RealElement:
         """``r (cosh α + j sinh α)``; OverflowError when it is outside the float range.

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _HYPERBOLIC, _PARABOLIC, Element, RingKind, _Record, _setfield
+from .core import _HYPERBOLIC, _PARABOLIC, Element, RingKind, _Record
 from .integers import _prime_power, is_prime_int
 
 
@@ -73,8 +73,9 @@ class IrreducibleForm(_Record):
             raise ValueError("gamma must be nonnegative")
         if sign_y not in (-1, 1):
             raise ValueError("sign_y must be ±1")
-        _setfield(self, "gamma", gamma)
-        _setfield(self, "sign_y", sign_y)
+        set_gamma, set_sign_y = self._setters
+        set_gamma(self, gamma)
+        set_sign_y(self, sign_y)
 
     def element(self) -> Element:
         half = 1 << self.gamma
@@ -154,9 +155,10 @@ class PrimeIntegerReport(_Record):
     def __init__(
         self, is_prime_elt: bool, is_irreducible_elt: bool, witness: tuple[Element, Element] | None
     ) -> None:
-        _setfield(self, "is_prime_elt", is_prime_elt)
-        _setfield(self, "is_irreducible_elt", is_irreducible_elt)
-        _setfield(self, "witness", witness)
+        set_is_prime_elt, set_is_irreducible_elt, set_witness = self._setters
+        set_is_prime_elt(self, is_prime_elt)
+        set_is_irreducible_elt(self, is_irreducible_elt)
+        set_witness(self, witness)
 
 
 def prime_integer_behavior(p: int, kind: RingKind) -> PrimeIntegerReport:

@@ -77,12 +77,18 @@ class _Record:
 
     Fields compare, hash and print in slot order, as ``Name(field=value, ...)``,
     and only a record of the same class compares equal.  Each subclass writes
-    its own ``__init__``, which checks its arguments and stores the fields with
-    :data:`_setfield` (``Element`` with its slots' setters); pickle and copy
-    rebuild a record through that ``__init__``.
+    its own ``__init__``, which checks its arguments and stores the fields
+    through ``_setters``, its slots' own setters in slot order, which get
+    past the frozen ``__setattr__``; pickle and copy rebuild a record through
+    that ``__init__``.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # bound once per class: a call per field, no name lookup
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -107,11 +113,6 @@ class _Record:
 
     def __reduce__(self) -> tuple:
         return self.__class__, self._astuple()
-
-
-# object's own __setattr__, which gets past a record's frozen one; a module
-# global is one lookup cheaper per field than ``object.__setattr__``
-_setfield = object.__setattr__
 
 
 class Element(_Record):
@@ -328,7 +329,7 @@ class Element(_Record):
 # results through _mk: their coordinates are ints by construction, so the
 # validation in Element.__init__ is skipped.
 _new = object.__new__
-_set_kind, _set_x, _set_y = (Element.__dict__[f].__set__ for f in ("kind", "x", "y"))
+_set_kind, _set_x, _set_y = Element._setters
 
 
 def _mk(kind: RingKind, x: int, y: int) -> Element:

@@ -7,9 +7,9 @@ divisor's.  Zero divisors need separate handling everywhere.
 
 A finitely generated ideal splits into a principal part ``(α)``, with α of
 least nonzero norm, plus its intersection with the zero-divisor set.  In
-every ring α has a closed form from integer gcds (see :func:`decompose`),
-and a Euclidean descent from it checks its minimality.  Membership is
-divisibility on coordinates alone (see :func:`ideal_contains`).
+every ring α has a closed form from integer gcds (see :func:`decompose`).
+Membership is divisibility on coordinates alone (see :func:`ideal_contains`),
+and the same rule checks each closed form, so no ideal operation divides.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .core import (
     RingKind,
     _mk,
     _Record,
-    _setfield,
     from_diagonal_coords,
 )
 
@@ -36,7 +35,7 @@ class DivisorIsZeroDivisorError(RingError):
 
 
 class EuclidInvariantError(RingError):
-    """A result broke a guarantee of the division algorithm or the ideal descent."""
+    """A result broke the division algorithm's remainder bound or an ideal's closed form."""
 
 
 class DivResult(_Record):
@@ -47,8 +46,9 @@ class DivResult(_Record):
     remainder: Element
 
     def __init__(self, quotient: Element, remainder: Element) -> None:
-        _setfield(self, "quotient", quotient)
-        _setfield(self, "remainder", remainder)
+        set_quotient, set_remainder = self._setters
+        set_quotient(self, quotient)
+        set_remainder(self, remainder)
 
 
 def div_rem(a: Element, b: Element) -> DivResult:
@@ -59,15 +59,6 @@ def div_rem(a: Element, b: Element) -> DivResult:
     zero), which pins one deterministic answer out of the valid choices.
     The bound on the remainder is checked at runtime, also under ``python
     -O``: a remainder that breaks it raises :class:`EuclidInvariantError`.
-    """
-    qx, qy, remainder, _ = _div_rem(a, b)
-    return DivResult(_mk(a.kind, qx, qy), remainder)
-
-
-def _div_rem(a: Element, b: Element) -> tuple[int, int, Element, int]:
-    """:func:`div_rem`'s kernel: the quotient's coordinates, the remainder ρ and ``η(ρ)``.
-
-    The ideal descent reads ρ and its norm alone, so it builds no quotient.
     """
     kind = a.kind
     if kind is not b.kind:
@@ -87,10 +78,9 @@ def _div_rem(a: Element, b: Element) -> tuple[int, int, Element, int]:
     qy = (2 * ny + e) // e2 if ny >= 0 else -((e - 2 * ny) // e2)
     rx = ax - qx * bx - mu * qy * by
     ry = ay - qx * by - qy * bx
-    eta = rx * rx - mu * ry * ry
-    if 2 * abs(eta) > e:
+    if 2 * abs(rx * rx - mu * ry * ry) > e:
         raise EuclidInvariantError(f"remainder of {a} by {b} breaks 2·η⁺(ρ) <= η⁺(b)")
-    return qx, qy, _mk(kind, rx, ry), eta
+    return DivResult(_mk(kind, qx, qy), _mk(kind, rx, ry))
 
 
 def divides(b: Element, a: Element) -> Element | None:
@@ -143,8 +133,9 @@ class FGIdeal(_Record):
         for g in generators:
             if g.kind is not kind:
                 raise KindMismatchError("all generators must live in the ideal's ring")
-        _setfield(self, "kind", kind)
-        _setfield(self, "generators", generators)
+        set_kind, set_generators = self._setters
+        set_kind(self, kind)
+        set_generators(self, generators)
 
     @classmethod
     def of(cls, *generators: Element) -> FGIdeal:
@@ -173,29 +164,12 @@ class IdealDecomposition(_Record):
     def __init__(
         self, kind: RingKind, alpha: Element | None, dplus_gen: int, dminus_gen: int, d0_gen: int
     ) -> None:
-        _setfield(self, "kind", kind)
-        _setfield(self, "alpha", alpha)
-        _setfield(self, "dplus_gen", dplus_gen)
-        _setfield(self, "dminus_gen", dminus_gen)
-        _setfield(self, "d0_gen", d0_gen)
-
-
-def _descend(gens: list[Element], alpha: Element) -> tuple[Element, list[Element]]:
-    """Reduce every generator modulo alpha until all remainders are zero divisors.
-
-    Any remainder of nonzero norm replaces alpha (its norm is at most half of
-    alpha's, so the restart loop terminates).
-    """
-    while True:
-        residues: list[Element] = []
-        for g in gens:
-            _, _, r, eta = _div_rem(g, alpha)
-            if eta != 0:
-                alpha = r
-                break
-            residues.append(r)
-        else:
-            return alpha, residues
+        set_kind, set_alpha, set_dplus_gen, set_dminus_gen, set_d0_gen = self._setters
+        set_kind(self, kind)
+        set_alpha(self, alpha)
+        set_dplus_gen(self, dplus_gen)
+        set_dminus_gen(self, dminus_gen)
+        set_d0_gen(self, d0_gen)
 
 
 def _parabolic_basis(gens: list[Element]) -> tuple[int, int, int]:
@@ -322,11 +296,19 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
     α = (P, Q), already canonical as P, Q > 0.  The diagonals meet the ideal
     in (kPℤ, 0) and (0, kQℤ), so the diagonal generators are kP/2 and kQ/2.
 
-    In every ring α is checked at runtime, also under ``python -O``: a descent
-    from α that finds a smaller norm raises :class:`EuclidInvariantError`.  A
-    Gaussian α then divides every generator; with norm D it generates the ideal.
-    A parabolic d must equal gcd(a, y of each residue), the axis part read
-    from that descent.
+    Every result is checked at runtime, also under ``python -O``, with the
+    divisibility rule of :func:`ideal_contains` and no division; a failed
+    check raises :class:`EuclidInvariantError`.  Gaussian and hyperbolic
+    ideals: every nonzero generator must be a member, else the decomposition
+    was not minimal; a Gaussian α must also have norm D, and then it
+    generates the ideal.  Parabolic ideals: a must divide every xᵢ, else α
+    was not minimal, and d must equal gcd(a, yᵢ − b·xᵢ/a), else the axis
+    generator is wrong.  This is no weaker than a Euclidean descent from α
+    that divides each gᵢ by it.  In ℤ[i] a remainder of norm 0 is 0, so the
+    descent asks that α divide every gᵢ.  A parabolic remainder has
+    x − round(x/a)·a, 0 iff a | x, and y ≡ y − b·x/a (mod a).  A hyperbolic
+    remainder has norm 0 once one diagonal coordinate is divisible, and the
+    descent never reads the diagonal generators; membership checks both.
     """
     kind = ideal.kind
     gens = [g for g in ideal.generators if g]
@@ -340,29 +322,28 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
         if not (p and q):
             return IdealDecomposition(kind, None, p // 2, q // 2, 0)
         k = 2 if all((u // p - v // q) % 2 == 0 for u, v in uvs) else 1
-        alpha = from_diagonal_coords(p, q)
+        dec = IdealDecomposition(kind, from_diagonal_coords(p, q), k * p // 2, k * q // 2, 0)
     elif kind is _ELLIPTIC:
         alpha, index = _gaussian_alpha(gens)
+        dec = IdealDecomposition(kind, alpha, 0, 0, 0)
     else:
         a, b, d = _parabolic_basis(gens)
         if not a:  # every generator lies on the axis
             return IdealDecomposition(kind, None, 0, 0, d)
         alpha = _mk(kind, a, b)
+        for g in gens:
+            if g.x % a:
+                raise EuclidInvariantError(f"{a} does not divide x of {g}: α = {alpha} was not minimal")
+        if gcd(a, *(g.y - b * (g.x // a) for g in gens)) != d:
+            raise EuclidInvariantError(f"axis generator {d} is not gcd({a}, yᵢ − {b}·xᵢ/{a})")
+        return IdealDecomposition(kind, alpha, 0, 0, d)
 
-    alpha2, residues = _descend(gens, alpha)
-    if alpha2 != alpha:
-        raise EuclidInvariantError(f"descent found {alpha2} below {alpha}: α was not minimal")
-    if kind is _HYPERBOLIC:
-        return IdealDecomposition(kind, alpha, k * p // 2, k * q // 2, 0)
-    if kind is _ELLIPTIC:
-        if any(residues):
-            raise EuclidInvariantError(f"nonzero elliptic residues {residues} after descent")
-        if alpha.eta != index:
-            raise EuclidInvariantError(f"N({alpha}) = {alpha.eta} is not the ideal's index {index}")
-        return IdealDecomposition(kind, alpha, 0, 0, 0)
-    if gcd(a, *(r.y for r in residues)) != d:
-        raise EuclidInvariantError(f"axis generator {d} is not the descent's from {alpha}")
-    return IdealDecomposition(kind, alpha, 0, 0, d)
+    for g in gens:
+        if not ideal_contains(dec, g):
+            raise EuclidInvariantError(f"{g} is outside {dec}: the decomposition was not minimal")
+    if kind is _ELLIPTIC and alpha.eta != index:
+        raise EuclidInvariantError(f"N({alpha}) = {alpha.eta} is not the ideal's index {index}")
+    return dec
 
 
 def ideal_contains(dec: IdealDecomposition, z: Element) -> bool:

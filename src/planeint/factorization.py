@@ -42,7 +42,6 @@ from .core import (
     RingKind,
     _mk,
     _Record,
-    _setfield,
     diagonal_coords,
     from_diagonal_coords,
 )
@@ -165,9 +164,10 @@ class Factorization(_Record):
     axis_extension: bool
 
     def __init__(self, unit: Element, factors: tuple[Element, ...], axis_extension: bool = False) -> None:
-        _setfield(self, "unit", unit)
-        _setfield(self, "factors", factors)
-        _setfield(self, "axis_extension", axis_extension)
+        set_unit, set_factors, set_axis_extension = self._setters
+        set_unit(self, unit)
+        set_factors(self, factors)
+        set_axis_extension(self, axis_extension)
 
     def product(self) -> Element:
         acc = self.unit

@@ -33,7 +33,6 @@ from .core import (
     RingError,
     RingKind,
     _Record,
-    _setfield,
     diagonal_coords,
     from_diagonal_coords,
 )
@@ -58,8 +57,9 @@ class OracleVerdict(_Record):
     witness: tuple[Element, Element] | None
 
     def __init__(self, verdict: Verdict, witness: tuple[Element, Element] | None = None) -> None:
-        _setfield(self, "verdict", verdict)
-        _setfield(self, "witness", witness)
+        set_verdict, set_witness = self._setters
+        set_verdict(self, verdict)
+        set_witness(self, witness)
 
 
 def _int_divisors(n: int) -> list[int]:

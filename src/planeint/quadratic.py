@@ -13,7 +13,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .core import _ELLIPTIC, _HYPERBOLIC, _PARABOLIC, RingKind, _Record, _setfield
+from .core import _ELLIPTIC, _HYPERBOLIC, _PARABOLIC, RingKind, _Record
 
 RationalLike = Fraction | int | str
 
@@ -32,8 +32,9 @@ class GeneralParams(_Record):
     beta: Fraction
 
     def __init__(self, alpha: RationalLike, beta: RationalLike) -> None:
-        _setfield(self, "alpha", _frac(alpha))
-        _setfield(self, "beta", _frac(beta))
+        set_alpha, set_beta = self._setters
+        set_alpha(self, _frac(alpha))
+        set_beta(self, _frac(beta))
 
     @property
     def disc(self) -> Fraction:
@@ -54,9 +55,10 @@ class QuadraticPoly(_Record):
     c: Fraction
 
     def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike) -> None:
-        _setfield(self, "a", _frac(a))
-        _setfield(self, "b", _frac(b))
-        _setfield(self, "c", _frac(c))
+        set_a, set_b, set_c = self._setters
+        set_a(self, _frac(a))
+        set_b(self, _frac(b))
+        set_c(self, _frac(c))
         if self.a == 0:
             raise ValueError("degenerate polynomial: leading coefficient is zero")
 

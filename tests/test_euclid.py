@@ -556,9 +556,9 @@ class TestKernelAgainstReference:
         _check_against_reference(a, 2 * c)
 
     def test_ideals(self, monkeypatch):
-        # decompose reaches the division only through euclid._div_rem,
-        # div_rem's kernel, in every ring's minimality check (ideal_contains
-        # does not divide), so patching the reference in reruns decompose on it
+        # decompose checks each closed form with ideal_contains' divisibility
+        # rule, and neither divides: with the division kernel and divides
+        # raising, every result is the same
         rng = random.Random(23)
         cases = []
         for kind in RingKind:
@@ -588,22 +588,13 @@ class TestKernelAgainstReference:
 
         got = run()
         assert all(all(answers[:5]) for _, answers in got)
-        # the check divides each nonzero generator once by α, where there is one
-        checked = sum(
-            sum(1 for g in ideal.generators if g)
-            for ideal, _ in cases
-            if decompose(ideal).alpha is not None
-        )
-        calls = []
 
-        def counted_reference(a, b):
-            calls.append(1)
-            res = reference_div_rem(a, b)
-            return res.quotient.x, res.quotient.y, res.remainder, res.remainder.eta
+        def no_division(*args):
+            raise AssertionError("an ideal operation divided")
 
-        monkeypatch.setattr(euclid, "_div_rem", counted_reference)
+        monkeypatch.setattr(euclid, "div_rem", no_division)
+        monkeypatch.setattr(euclid, "divides", no_division)
         assert run() == got
-        assert len(calls) == checked
 
 
 class TestInvariantChecks:
@@ -634,7 +625,7 @@ class TestInvariantChecks:
             decompose(FGIdeal.of(K(4, 0), K(0, 2)))
 
     def test_gaussian_closed_form_minimality(self, monkeypatch):
-        # 2α = 4 divides neither generator, so the descent from it finds a smaller norm
+        # 2α = 4 divides neither generator, so neither is a member of the ideal it claims
         real = euclid._gaussian_alpha
 
         def doubled(gens):
@@ -666,10 +657,29 @@ class TestInvariantChecks:
         with pytest.raises(EuclidInvariantError, match="not minimal"):
             decompose(FGIdeal.of(H(2, 1)))
 
-    def test_elliptic_residues(self, monkeypatch):
-        monkeypatch.setattr(euclid, "_descend", lambda gens, alpha: (alpha, [C(0, 1)]))
-        with pytest.raises(EuclidInvariantError, match="residues"):
-            decompose(FGIdeal.of(C(3, 0)))
+    def test_gaussian_conjugate_alpha(self, monkeypatch):
+        # ᾱ = 3 − 2i has the index 13 of (3 + 2i), so only membership shows it is the wrong prime
+        real = euclid._gaussian_alpha
+
+        def conjugate(gens):
+            alpha, index = real(gens)
+            return alpha.conj(), index
+
+        assert real([C(3, 2)]) == (C(3, 2), 13)
+        monkeypatch.setattr(euclid, "_gaussian_alpha", conjugate)
+        with pytest.raises(EuclidInvariantError, match="not minimal"):
+            decompose(FGIdeal.of(C(3, 2)))
+
+    def test_hyperbolic_parity_bit(self, monkeypatch):
+        # (3 − j, 3 + j) has diagonal coordinates (2, 4) and (4, 2): P = Q = 2 and
+        # u/P − v/Q is odd, so the bit is 1 and each diagonal generator is 1; a bit
+        # of 2 would double both and leave the generators outside the claimed ideal
+        ideal = FGIdeal.of(H(3, -1), H(3, 1))
+        dec = decompose(ideal)
+        assert (dec.alpha, dec.dplus_gen, dec.dminus_gen) == (H(2, 0), 1, 1)
+        monkeypatch.setattr(euclid, "all", lambda parities: True, raising=False)
+        with pytest.raises(EuclidInvariantError, match="not minimal"):
+            decompose(ideal)
 
 
 def test_no_assert_statements_in_package():

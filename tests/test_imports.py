@@ -68,6 +68,15 @@ class TestWhatLoads:
         assert (proc.returncode, proc.stdout) == (0, b"eta 144\neta_plus 144\ntrace 24\n"), proc.stderr
         assert loaded == {"planeint", "planeint.core"}
 
+    def test_cli_ideal_loads_no_integer_kernel(self):
+        # decompose and ideal_contains are gcds and divisibility: no primality, no factoring
+        proc, loaded = probe(
+            "import runpy; runpy.run_module('planeint.cli', run_name='__main__', alter_sys=True)",
+            "ideal", "6+4j", "10+2j", "--contains", "4+2j",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert loaded == {"planeint", "planeint.core", "planeint.euclid"}
+
 
 # argv of the benchmark's cli mix whose handlers need no Classification, the
 # package's one dataclass
