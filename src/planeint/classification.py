@@ -30,9 +30,10 @@ zero-divisor/prime/irreducible triple), so equal verdicts are the same
 object.  :func:`is_prime` and :func:`is_irreducible` cost one ``classify``.
 A Gaussian or hyperbolic verdict makes one primality test, of the norm (of
 the integer on the Gaussian axes).  A parabolic verdict reads an x below 2¹⁶
-from a table and never factors a larger one: ``_prime_power`` strips the
-primes below 2¹² with one gcd, makes one primality test of what is left, and
-tries a few exact integer roots only when that is composite.
+from a table and never factors a larger one: ``_prime_power`` takes one gcd
+with the product of the primes below 2¹², which answers at once when x has
+two of them and leaves a single one to divide out; an x with none gets one
+primality test, and a few exact integer roots only when it is composite.
 """
 
 from __future__ import annotations

@@ -1,0 +1,261 @@
+"""Command-line front end.
+
+Elements are written as ``3-1j``, ``-2+0k``, ``5i``, ``2+k`` or plain
+integers (the latter need ``--ring i|j|k``).  Every subcommand has a
+``--json`` rendering with schema-stable field names; integers are emitted
+as decimal strings so arbitrary-precision values survive any consumer.
+
+Exit codes: 0 success, 1 domain error, 2 usage or parse error.
+
+This module is the front every command shares: the element grammar, the
+bounds, the rendering helpers, the parser and :func:`main`.  Each subcommand
+lives in its own module beside it (``exp`` and ``pow`` share one), whose
+``run(args)`` returns the ``--json`` payload (integers as decimal strings,
+elements as Element) and the renderer of its text output.  :func:`main`
+imports that module only after parsing, so a child process compiles and
+loads no more of the package than its command uses.
+"""
+
+from __future__ import annotations
+
+import argparse
+import re
+import sys
+from collections.abc import Callable, Iterable
+
+from ..core import Element, RingError, RingKind, format_element
+
+# bounds on the arguments that work grows with: as the square of table's
+# bound, the fourth power of oracle prime's box, linearly in dts's n_max, and
+# with the coordinates in the divisors and irreducible oracles (an axis
+# element ky of the parabolic ring has σ(y) candidate divisors)
+MAX_TABLE_BOUND = 100
+MAX_DTS_N = 100_000
+MAX_ORACLE_BOX = 16
+MAX_ORACLE_COORD = 10**5
+
+Output = tuple[dict, Callable[[dict, bool], str]]  # (payload, render(payload, color))
+
+
+class ElementParseError(ValueError):
+    def __init__(self, message: str, position: int = 0):
+        super().__init__(message)
+        self.position = position
+
+
+class AmbiguousRingError(ElementParseError):
+    pass
+
+
+_RE_REAL = re.compile(r"\s*([+-]?\d+)\s*")
+_RE_FULL = re.compile(r"\s*([+-]?\d+)\s*([+-])\s*(\d*)\s*([ijk])\s*")
+_RE_IMAG = re.compile(r"\s*([+-]?)\s*(\d*)\s*([ijk])\s*")
+
+
+def parse_element(text: str, ring_hint: RingKind | None = None, hint_from: str | None = None) -> Element:
+    """Parse the shared element grammar; pure integers need a ring hint.
+
+    ``hint_from`` is the operand whose ring the hint is; None means --ring.
+    """
+    m = _RE_FULL.fullmatch(text)
+    if m:
+        x = _int(m.group(1))
+        coef = _int(m.group(3)) if m.group(3) else 1
+        y = coef if m.group(2) == "+" else -coef
+        kind = RingKind.from_symbol(m.group(4))
+        return _with_hint(Element(kind, x, y), ring_hint, hint_from, text)
+    m = _RE_IMAG.fullmatch(text)
+    if m:
+        coef = _int(m.group(2)) if m.group(2) else 1
+        y = -coef if m.group(1) == "-" else coef
+        kind = RingKind.from_symbol(m.group(3))
+        return _with_hint(Element(kind, 0, y), ring_hint, hint_from, text)
+    m = _RE_REAL.fullmatch(text)
+    if m:
+        if ring_hint is None:
+            raise AmbiguousRingError(
+                f"{text!r} is a bare integer; pass --ring i|j|k to pick its ring"
+            )
+        return Element(ring_hint, _int(m.group(1)), 0)
+    pos = next(
+        (idx for idx, ch in enumerate(text) if ch not in "0123456789+-ijk \t"),
+        len(text),
+    )
+    raise ElementParseError(f"cannot parse element {text!r} (at position {pos})", pos)
+
+
+# main lifts the interpreter's int/str digit limit (Python 3.10.7 and later),
+# so that a norm of about twice a literal's digits still prints; literals keep
+# the limit main found on entry, which it holds here until it returns
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+_entry_limit: int | None = None
+
+
+def _literal_limit() -> int:
+    return _get_digit_limit() if _entry_limit is None else _entry_limit
+
+
+def _int(digits: str) -> int:
+    limit = _literal_limit()
+    if limit and len(digits.lstrip("+-")) > limit:  # the regex admits only a sign and digits
+        raise ElementParseError(f"a coordinate has more than {limit} digits")
+    return int(digits)
+
+
+def _with_hint(z: Element, hint: RingKind | None, hint_from: str | None, text: str) -> Element:
+    if hint is not None and hint is not z.kind:
+        if hint_from is None:
+            given = f"--ring {hint.symbol} was given"
+        else:
+            given = f"{hint_from!r} names ring {hint.symbol}"
+        raise ElementParseError(f"{text!r} names ring {z.kind.symbol} but {given}")
+    return z
+
+
+# -- rendering ----------------------------------------------------------------
+
+# the Classification flags and their text labels, in output order
+_VERDICTS = (
+    ("is_zero", "zero"),
+    ("is_unit", "unit"),
+    ("is_zero_divisor", "zero divisor"),
+    ("is_prime", "prime"),
+    ("is_irreducible", "irreducible"),
+    ("is_reducible", "reducible"),
+)
+
+
+def _elt_json(z: Element) -> dict:
+    return {"ring": z.kind.symbol, "x": str(z.x), "y": str(z.y), "text": format_element(z)}
+
+
+def _flag(value: bool, color: bool) -> str:
+    text, code = ("yes", "32") if value else ("no", "31")
+    return f"\x1b[{code}m{text}\x1b[0m" if color else text
+
+
+def _lines(*lines: str) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """CSV text with booleans as ``true``/``false`` and csv's CRLF row endings."""
+    import csv
+    import io
+
+    out = io.StringIO()
+    csv.writer(out).writerows(
+        [str(v).lower() if isinstance(v, bool) else v for v in row] for row in (header, *rows)
+    )
+    return out.getvalue()
+
+
+def _ring_arg(args: argparse.Namespace) -> RingKind | None:
+    return RingKind.from_symbol(args.ring) if args.ring else None
+
+
+def _check_bound(value: int, least: int, maximum: int, name: str, what: str = "bound") -> None:
+    """Refuse an argument outside [least, maximum] before any work is done."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if value > maximum:
+        raise ValueError(f"{what} too large (maximum {maximum})")
+
+
+# -- parser ---------------------------------------------------------------------
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Accept leading-minus literals (-2+0k, -3/4, -15, -j) as positionals."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a minus, then a digit or a lone unit letter: -h and --json stay options
+        self._negative_number_matcher = re.compile(r"^-(\d|[ijk]$)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(
+        prog="planeint",
+        description="exact arithmetic in the three integer rings of the plane",
+    )
+    parser.add_argument("--json", action="store_true", help="emit JSON (ints as decimal strings)")
+    parser.add_argument("--color", action="store_true", help="colorize yes/no flags")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, help: str, *positionals: str, module: str = "") -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(module=module or name.replace("-", "_"))  # the command's module in this package
+        return p
+
+    def ring_opt(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--ring", choices=["i", "j", "k"], help="ring for bare-integer elements")
+
+    for name, help, *positionals in (
+        ("classify", "unit / zero-divisor / prime / irreducible verdicts", "element"),
+        ("factor", "factor into irreducibles", "element"),
+        ("divmod", "division with remainder", "a", "b"),
+        ("norm", "norm, absolute norm and trace", "element"),
+    ):
+        ring_opt(command(name, help, *positionals))
+
+    p = command("dts", "difference-of-two-squares table for 1..n")
+    p.add_argument("n_max", type=int)
+
+    p = command("ideal", "decompose a finitely generated ideal")
+    p.add_argument("generators", nargs="+")
+    p.add_argument("--contains", help="also test membership of this element")
+    ring_opt(p)
+
+    p = command("oracle", "brute-force irreducibility / primality / divisors")
+    p.add_argument("mode", choices=["irreducible", "prime", "divisors"])
+    p.add_argument("element")
+    p.add_argument("--box", type=int, default=10, help="coordinate bound for the primality scan")
+    ring_opt(p)
+
+    command("classify-poly", "canonical structure of R[x]/(ax^2+bx+c)", "a", "b", "c")
+
+    p = command("exp", "ring exponential at float coordinates", module="exp_pow")
+    p.add_argument("x", type=float)
+    p.add_argument("y", type=float)
+    p.add_argument("--ring", choices=["i", "j", "k"], required=True)
+
+    p = command("pow", "integer power via the hyperbolic polar form", module="exp_pow")
+    p.add_argument("x", type=float)
+    p.add_argument("y", type=float)
+    p.add_argument("n", type=int)
+    p.add_argument("--ring", choices=["i", "j", "k"], required=True)
+
+    p = command("table", "classification table over canonical classes")
+    p.add_argument("--ring", choices=["i", "j", "k"], required=True)
+    p.add_argument("--bound", type=int, required=True)
+
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    global _entry_limit
+    args = build_parser().parse_args(argv)
+    _entry_limit = limit = _get_digit_limit()
+    _set_digit_limit(0)
+    try:
+        # __import__ is the import statement's path, which -X importtime reports
+        command = __import__(f"{__name__}.{args.module}", fromlist=["run"])
+        payload, render = command.run(args)
+        if args.json:
+            import json
+
+            out = json.dumps(payload, default=_elt_json) + "\n"
+        else:
+            out = render(payload, args.color)
+        sys.stdout.write(out)
+    except (ElementParseError, RingError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ElementParseError) else 1
+    finally:
+        _set_digit_limit(limit)
+        _entry_limit = None
+    return 0

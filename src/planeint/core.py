@@ -311,6 +311,11 @@ class Element(_Record):
             if y >= 0:
                 return self, _P_ONE
             return _mk(kind, 0, -y), _P_NEG_ONE
+        # t = 0: the unit is a shared ±1, and z or -z is already canonical
+        if 0 <= y < x:
+            return self, _P_ONE
+        if x < y <= 0:
+            return _mk(kind, -x, -y), _P_NEG_ONE
         s = 1 if x > 0 else -1
         xc = s * x
         yc = (s * y) % xc

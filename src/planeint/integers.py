@@ -215,21 +215,29 @@ def _exact_root(m: int) -> tuple[int, int] | None:
 def _prime_power(n: int) -> tuple[int, int] | None:
     """``(p, g)`` with ``n = p^g`` for a prime p, or None; n >= 2.
 
-    Below 2¹⁶ this is a table lookup.  Above, n is never factored: the
-    small-prime stage either finds n's only prime below 2¹² or leaves a
-    cofactor with none.  One below 2²⁴ is prime, a larger one needs one
-    :func:`is_prime_int`, and a composite one is a prime power only through
-    :func:`_exact_root`.
+    Below 2¹⁶ this is a table lookup.  Above, n is never factored: one gcd
+    with the product of the primes below 2¹² is the product of n's primes
+    there.  Two or more of them (a gcd past 2¹⁶, or one the table factors)
+    answer None at once; one prime p is divided out alone, and n is a power
+    of p exactly when nothing is left.  An n with none of them is prime
+    below 2²⁴, a larger one needs one :func:`is_prime_int`, and a composite
+    one is a prime power only through :func:`_exact_root`.
     """
     if n < _CROSSOVER:
         powers = _table_factor(n)
         return powers[0] if len(powers) == 1 else None
-    small, m = _strip_small(n)
-    if small:
-        return small[0] if m == 1 and len(small) == 1 else None
-    if m < _SMOOTH_PRIME_END or is_prime_int(m):
-        return m, 1
-    root = _exact_root(m)
+    p = gcd(n, _SMALL_PRODUCT)
+    if p > 1:
+        if p >= _CROSSOVER or _FACTOR_OF[p]:
+            return None
+        g = 0
+        while n % p == 0:
+            n //= p
+            g += 1
+        return (p, g) if n == 1 else None
+    if n < _SMOOTH_PRIME_END or is_prime_int(n):
+        return n, 1
+    root = _exact_root(n)
     power = root and _prime_power(root[0])
     return power and (power[0], power[1] * root[1])
 

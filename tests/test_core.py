@@ -275,7 +275,8 @@ class TestCanonicalAssociates:
 
     def test_units_are_shared(self):
         # u is a unit with u·z the canonical form; the units ±1, ±θ of i and j,
-        # and ±1 on k's axis, are the same few objects across every call
+        # and ±1 of k (on its axis, and off it where t = 0 in ±1 + kt), are the
+        # same few objects across every call, and a canonical z is its own form
         for kind in RingKind:
             shared = {}  # id -> unit, which keeps every unit alive and its id unique
             for x in range(-12, 13):
@@ -283,8 +284,10 @@ class TestCanonicalAssociates:
                     z = Element(kind, x, y)
                     canonical, u = z.canonical_associate()
                     assert u.is_unit() and u * z == canonical, z
-                    if kind is not RingKind.PARABOLIC or x == 0:
+                    if kind is not RingKind.PARABOLIC or u.y == 0:
                         shared[id(u)] = u
+                    if canonical == z:
+                        assert canonical is z, z
             assert len(shared) == (2 if kind is RingKind.PARABOLIC else 4), kind
 
     def test_ne_is_not_eq(self):

@@ -323,6 +323,18 @@ class TestPrimePower:
             expected = (s, 2) if sympy.isprime(s) else None
             assert _prime_power(s * s) == expected, s
 
+    def test_small_primes_beside_a_large_cofactor(self):
+        # the gcd with the small primes holds two of them, with a product below 2¹⁶
+        # (one the table factors) or past it, or holds one; a prime power above
+        # 2¹², or nothing, is left over
+        for small in ((2, 3), (3, 5), (4091, 4093), (2, 3, 4093), (2,), (4093,)):
+            for e in (1, 3, 7):
+                for q in (1, 4099, sympy.nextprime(2**24), 2**61 - 1):
+                    for k in (1, 2):
+                        n = prod(small) ** e * q**k
+                        expected = (small[0], e) if len(small) == 1 and q == 1 else None
+                        assert _prime_power(n) == expected, (small, e, q, k)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from((2, 3, 5, 7) + BOUNDARY_PRIMES), st.integers(1, 5)), min_size=1,
                     max_size=4))

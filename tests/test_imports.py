@@ -45,6 +45,10 @@ def probe(statement: str, *argv: str) -> tuple[subprocess.CompletedProcess, set[
     return proc, set(proc.stderr.decode().splitlines()[-1].split())
 
 
+# ``python -m planeint.cli``: runpy imports the package, then runs its __main__
+RUN_CLI = "import runpy; runpy.run_module('planeint.cli', run_name='__main__', alter_sys=True)"
+
+
 class TestWhatLoads:
     def test_import_loads_no_submodule(self):
         proc, loaded = probe("import planeint")
@@ -60,22 +64,16 @@ class TestWhatLoads:
         assert proc.stdout == b"\n"  # none of them
 
     def test_cli_norm_loads_only_core(self):
-        # as ``python -m planeint.cli norm 12-5k``, which runs the CLI as __main__
-        proc, loaded = probe(
-            "import runpy; runpy.run_module('planeint.cli', run_name='__main__', alter_sys=True)",
-            "norm", "12-5k",
-        )
+        # the CLI's front and the norm command's module, and of the library only core
+        proc, loaded = probe(RUN_CLI, "norm", "12-5k")
         assert (proc.returncode, proc.stdout) == (0, b"eta 144\neta_plus 144\ntrace 24\n"), proc.stderr
-        assert loaded == {"planeint", "planeint.core"}
+        assert loaded == {"planeint", "planeint.core", "planeint.cli", "planeint.cli.norm"}
 
     def test_cli_ideal_loads_no_integer_kernel(self):
         # decompose and ideal_contains are gcds and divisibility: no primality, no factoring
-        proc, loaded = probe(
-            "import runpy; runpy.run_module('planeint.cli', run_name='__main__', alter_sys=True)",
-            "ideal", "6+4j", "10+2j", "--contains", "4+2j",
-        )
+        proc, loaded = probe(RUN_CLI, "ideal", "6+4j", "10+2j", "--contains", "4+2j")
         assert proc.returncode == 0, proc.stderr
-        assert loaded == {"planeint", "planeint.core", "planeint.euclid"}
+        assert loaded == {"planeint", "planeint.core", "planeint.euclid", "planeint.cli", "planeint.cli.ideal"}
 
 
 # argv of the benchmark's cli mix whose handlers need no Classification, the
@@ -213,3 +211,13 @@ def test_fresh_child_matches_main(flags, argv):
     proc = child("-m", "planeint.cli", *argv)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == out.getvalue().encode()
+
+
+@pytest.mark.parametrize("argv", SWEEP)
+def test_cli_child_loads_only_its_command_module(argv):
+    """A child compiles the CLI's front and one command module, never another command's."""
+    command = argv.split()[0]
+    module = "exp_pow" if command in {"exp", "pow"} else command.replace("-", "_")
+    proc, loaded = probe(RUN_CLI, *argv.split())
+    assert proc.returncode == 0, proc.stderr
+    assert {m for m in loaded if m.startswith("planeint.cli")} == {"planeint.cli", f"planeint.cli.{module}"}

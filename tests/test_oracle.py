@@ -160,23 +160,40 @@ class TestCompletenessAndCrossChecks:
 
 
 def _package_imports(module):
-    """The planeint modules that ``planeint.<module>`` imports, directly or through each other."""
+    """The planeint modules that ``planeint.<module>`` imports, directly or through each other.
+
+    A subpackage stands for all of its modules: the CLI imports each command's
+    module by name, at run time, which no scan of import statements sees.
+    """
     pkg = Path(planeint.__file__).parent
+
+    def source(name):  # the files of module or subpackage ``name``; none if it is no module
+        path = pkg.joinpath(*name.split("."))
+        if path.is_dir():
+            return sorted(path.glob("*.py"))
+        path = path.with_suffix(".py")
+        return [path] if path.exists() else []
+
     seen, todo = set(), [module]
     while todo:
         name = todo.pop()
-        if name in seen:
+        if name in seen or not source(name):  # from . import name, where name is no module
             continue
         seen.add(name)
-        for node in ast.walk(ast.parse((pkg / f"{name}.py").read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
-                todo += [a.name for a in node.names]  # from . import a, b
-            elif isinstance(node, ast.ImportFrom) and node.level == 1:
-                todo.append(node.module)
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("planeint."):
-                todo.append(node.module.removeprefix("planeint."))
-            elif isinstance(node, ast.Import):
-                todo += [a.name.removeprefix("planeint.") for a in node.names if a.name.startswith("planeint.")]
+        # the package relative imports start from, as a path below planeint
+        here = name.split(".") if pkg.joinpath(*name.split(".")).is_dir() else name.split(".")[:-1]
+        for file in source(name):
+            for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    base = here[: len(here) - node.level + 1]
+                    if node.module is None:  # from . import a, b
+                        todo += [".".join([*base, a.name]) for a in node.names]
+                    else:
+                        todo.append(".".join([*base, node.module]))
+                elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("planeint."):
+                    todo.append(node.module.removeprefix("planeint."))
+                elif isinstance(node, ast.Import):
+                    todo += [a.name.removeprefix("planeint.") for a in node.names if a.name.startswith("planeint.")]
     return seen - {module}
 
 
