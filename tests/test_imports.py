@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import planeint
-from planeint.cli import main
+from planeint.cli import build_parser, main
 
 SRC = Path(planeint.__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
@@ -103,9 +103,15 @@ def test_cli_child_loads_no_dataclasses(argv):
     assert proc.returncode == 0 and proc.stderr == b"\n", proc.stderr
 
 
+def package_sources() -> list[tuple[str, Path]]:
+    """Every source file of the package, subpackages included, named relative to it (``cli/classify.py``)."""
+    root = SRC / "planeint"
+    return [(path.relative_to(root).as_posix(), path) for path in sorted(root.rglob("*.py"))]
+
+
 def test_only_classification_imports_dataclasses():
     importers = set()
-    for path in sorted((SRC / "planeint").glob("*.py")):
+    for name, path in package_sources():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -114,7 +120,7 @@ def test_only_classification_imports_dataclasses():
             else:
                 continue
             if any(m.split(".")[0] == "dataclasses" for m in modules):
-                importers.add(path.name)
+                importers.add(name)
     assert importers == {"classification.py"}
 
 
@@ -125,8 +131,8 @@ def test_ring_dispatch_reads_core_globals():
     RingKind``, and every module dispatches on those globals.
     """
     reads = [
-        (path.name, node.lineno)
-        for path in sorted((SRC / "planeint").glob("*.py"))
+        (name, node.lineno)
+        for name, path in package_sources()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
@@ -216,8 +222,7 @@ def test_fresh_child_matches_main(flags, argv):
 @pytest.mark.parametrize("argv", SWEEP)
 def test_cli_child_loads_only_its_command_module(argv):
     """A child compiles the CLI's front and one command module, never another command's."""
-    command = argv.split()[0]
-    module = "exp_pow" if command in {"exp", "pow"} else command.replace("-", "_")
+    module = build_parser().parse_args(argv.split()).module
     proc, loaded = probe(RUN_CLI, *argv.split())
     assert proc.returncode == 0, proc.stderr
     assert {m for m in loaded if m.startswith("planeint.cli")} == {"planeint.cli", f"planeint.cli.{module}"}
