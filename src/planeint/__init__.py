@@ -2,8 +2,6 @@
 rings of the plane: Gaussian (θ² = -1), hyperbolic (θ² = +1) and parabolic
 (θ² = 0) integers."""
 
-from importlib import import_module
-
 # submodule -> the public names it defines; ``__all__`` is these names, sorted.
 # ``import planeint`` loads no submodule: __getattr__ imports one the first
 # time one of its names (or the submodule itself, as in ``planeint.oracle``)
@@ -50,12 +48,18 @@ __all__ = sorted(_MODULE_OF)
 def __getattr__(name: str):
     """Import the submodule behind ``name`` and keep the result as a module global."""
     if name in _SOURCES:
-        return import_module(f".{name}", __name__)  # importing binds it in this namespace
+        return _load(name)  # importing binds it in this namespace
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    value = globals()[name] = getattr(_load(module), name)
     return value
+
+
+def _load(module: str):
+    # __import__ is the import statement's path, which -X importtime reports and
+    # importlib.import_module bypasses; given a fromlist, it returns the submodule
+    return __import__(f"{__name__}.{module}", fromlist=["*"])
 
 
 def __dir__() -> list[str]:

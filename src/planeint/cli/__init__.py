@@ -175,70 +175,86 @@ class _ArgumentParser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d|[ijk]$)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **options: object) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+_ELEMENT = _arg("element")
+_RING = _arg("--ring", choices=["i", "j", "k"], help="ring for bare-integer elements")
+_RING_REQUIRED = _arg("--ring", choices=["i", "j", "k"], required=True)
+_XY = _arg("x", type=float), _arg("y", type=float)
+
+# name -> (help, the module in this package that runs it, its arguments in order)
+_COMMANDS = {
+    "classify": ("unit / zero-divisor / prime / irreducible verdicts", "classify", (_ELEMENT, _RING)),
+    "factor": ("factor into irreducibles", "factor", (_ELEMENT, _RING)),
+    "divmod": ("division with remainder", "divmod", (_arg("a"), _arg("b"), _RING)),
+    "norm": ("norm, absolute norm and trace", "norm", (_ELEMENT, _RING)),
+    "dts": ("difference-of-two-squares table for 1..n", "dts", (_arg("n_max", type=int),)),
+    "ideal": ("decompose a finitely generated ideal", "ideal", (
+        _arg("generators", nargs="+"),
+        _arg("--contains", help="also test membership of this element"),
+        _RING,
+    )),
+    "oracle": ("brute-force irreducibility / primality / divisors", "oracle", (
+        _arg("mode", choices=["irreducible", "prime", "divisors"]),
+        _ELEMENT,
+        _arg("--box", type=int, default=10, help="coordinate bound for the primality scan"),
+        _RING,
+    )),
+    "classify-poly": ("canonical structure of R[x]/(ax^2+bx+c)", "classify_poly", (_arg("a"), _arg("b"), _arg("c"))),
+    "exp": ("ring exponential at float coordinates", "exp_pow", (*_XY, _RING_REQUIRED)),
+    "pow": ("integer power via the hyperbolic polar form", "exp_pow", (*_XY, _arg("n", type=int), _RING_REQUIRED)),
+    "table": ("classification table over canonical classes", "table", (
+        _RING_REQUIRED,
+        _arg("--bound", type=int, required=True),
+    )),
+}
+
+
+def _named_command(argv: Iterable[str]) -> str | None:
+    """The command argv runs, when its first token that is not ``--json`` or ``--color`` names one."""
+    for token in argv:
+        if token not in ("--json", "--color"):
+            return token if token in _COMMANDS else None
+    return None
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given an argv that names its command, of that command alone.
+
+    The command's own subparser parses an argv exactly as the full parser
+    does.  The top-level usage line lists every command either way; any
+    other argv (help, no command, an unknown one, ``--``, an option before
+    the command) gets the full parser, whose error messages name the
+    ``command`` argument.
+    """
     parser = _ArgumentParser(
         prog="planeint",
         description="exact arithmetic in the three integer rings of the plane",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON (ints as decimal strings)")
     parser.add_argument("--color", action="store_true", help="colorize yes/no flags")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help: str, *positionals: str, module: str = "") -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        for positional in positionals:
-            p.add_argument(positional)
-        p.set_defaults(module=module or name.replace("-", "_"))  # the command's module in this package
-        return p
-
-    def ring_opt(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--ring", choices=["i", "j", "k"], help="ring for bare-integer elements")
-
-    for name, help, *positionals in (
-        ("classify", "unit / zero-divisor / prime / irreducible verdicts", "element"),
-        ("factor", "factor into irreducibles", "element"),
-        ("divmod", "division with remainder", "a", "b"),
-        ("norm", "norm, absolute norm and trace", "element"),
-    ):
-        ring_opt(command(name, help, *positionals))
-
-    p = command("dts", "difference-of-two-squares table for 1..n")
-    p.add_argument("n_max", type=int)
-
-    p = command("ideal", "decompose a finitely generated ideal")
-    p.add_argument("generators", nargs="+")
-    p.add_argument("--contains", help="also test membership of this element")
-    ring_opt(p)
-
-    p = command("oracle", "brute-force irreducibility / primality / divisors")
-    p.add_argument("mode", choices=["irreducible", "prime", "divisors"])
-    p.add_argument("element")
-    p.add_argument("--box", type=int, default=10, help="coordinate bound for the primality scan")
-    ring_opt(p)
-
-    command("classify-poly", "canonical structure of R[x]/(ax^2+bx+c)", "a", "b", "c")
-
-    p = command("exp", "ring exponential at float coordinates", module="exp_pow")
-    p.add_argument("x", type=float)
-    p.add_argument("y", type=float)
-    p.add_argument("--ring", choices=["i", "j", "k"], required=True)
-
-    p = command("pow", "integer power via the hyperbolic polar form", module="exp_pow")
-    p.add_argument("x", type=float)
-    p.add_argument("y", type=float)
-    p.add_argument("n", type=int)
-    p.add_argument("--ring", choices=["i", "j", "k"], required=True)
-
-    p = command("table", "classification table over canonical classes")
-    p.add_argument("--ring", choices=["i", "j", "k"], required=True)
-    p.add_argument("--bound", type=int, required=True)
-
+    only = _named_command(argv or ())
+    if only:
+        # the metavar argparse would build from all the choices
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}")
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help, module, arguments) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help)
+            for flags, options in arguments:
+                p.add_argument(*flags, **options)
+            p.set_defaults(module=module)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     global _entry_limit
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     _entry_limit = limit = _get_digit_limit()
     _set_digit_limit(0)
     try:

@@ -8,23 +8,31 @@ canonical-associate factors sorted by norm.
 
 Cost model: :func:`factor` factors one integer, or in the hyperbolic ring
 two integers of about half the norm's size, and reads every irreducible
-factor from that one factorization:
+factor from that one factorization.  Nothing is derived twice: a norm is
+computed from the coordinates, not through the ``eta`` properties, and
+only a list of two or more factors is sorted.
 
-* elliptic and hyperbolic: an irreducible element of prime norm (or of the
-  hyperbolic two-power form) is recognised by :mod:`planeint.classification`
-  from one primality test of its norm.
-* elliptic: otherwise ``int_factor(η⁺)`` runs once, :func:`sum_two_squares`
-  once per distinct prime p ≡ 1 (mod 4), and one :func:`divides` peels each
-  factor (two when a + bi does not divide and a - bi does).
+* elliptic and hyperbolic: one :func:`classify` refuses zero, the units and
+  the hyperbolic zero divisors, and recognises an irreducible element of
+  prime norm (or of the hyperbolic two-power form) from one primality test
+  of its norm.  Such an element costs that verdict and its canonical
+  associate.
+* elliptic: otherwise ``int_factor(η⁺)`` runs once and
+  :func:`sum_two_squares` once per distinct prime p ≡ 1 (mod 4), whose two
+  Gaussian primes are built as canonical associates.  One :func:`divides`
+  peels each factor: the first prime over p while it divides, then the
+  second, so each p costs at most one failed division.
 * hyperbolic: otherwise, in the diagonal coordinates (u, v) = (x+y, x-y)
   the product is componentwise and η = uv, so ``int_factor(|u|)`` and
   ``int_factor(|v|)`` give every factor: (p, 1) for each odd prime of u,
   (1, p) for each odd prime of v, then copies of 2 = (2, 2) and one element
-  of the irreducible form (2^γ+1) ± j(2^γ-1).  No division in the ring is
-  needed.
-* parabolic: ``int_factor(|x|)`` runs once.  Each prime power p^g of x gives
-  the piece p^g + kr with r ≡ y·(x/p^g)⁻¹ (mod p^g), and copies of p are
-  peeled from a piece while it stays reducible.
+  of the irreducible form (2^γ+1) ± j(2^γ-1).  Each factor is built from
+  coordinates whose parity agrees by construction; no division in the ring
+  is needed.
+* parabolic: no verdict off the axis, since ``int_factor(|x|)``, run once,
+  shows whether the element is irreducible.  Each prime power p^g of x
+  gives the piece p^g + kr with r ≡ y·(x/p^g)⁻¹ (mod p^g), and copies of p
+  are peeled from a piece while it stays reducible.
 
 The factors are the ones the recursion ``a = b·c`` through :func:`split`
 reaches, down to the choice among the non-unique factorizations.
@@ -32,19 +40,8 @@ reaches, down to the choice among the non-unique factorizations.
 
 from __future__ import annotations
 
-from .classification import is_irreducible
-from .core import (
-    _ELLIPTIC,
-    _HYPERBOLIC,
-    _PARABOLIC,
-    Element,
-    RingError,
-    RingKind,
-    _mk,
-    _Record,
-    diagonal_coords,
-    from_diagonal_coords,
-)
+from .classification import Classification, classify
+from .core import _ELLIPTIC, _HYPERBOLIC, _PARABOLIC, Element, RingError, RingKind, _mk, _Record
 from .euclid import divides
 from .integers import int_factor, sum_two_squares, two_adic_valuation
 
@@ -57,28 +54,40 @@ class FactorWitnessError(RingError):
     """A factor read from the norm's factorization failed its check in the ring."""
 
 
-def _check_splittable(a: Element) -> None:
-    if not a:
+def _verdict(a: Element) -> Classification:
+    """``classify(a)``, once zero, the units and the hyperbolic zero divisors are refused."""
+    c = classify(a)
+    if c.is_zero:
         raise ValueError("zero cannot be factored")
-    if a.is_unit():
+    if c.is_unit:
         raise ValueError("units cannot be factored")
-    if a.kind is _HYPERBOLIC and a.eta == 0:
+    if c.is_zero_divisor and a.kind is _HYPERBOLIC:
         raise ZeroDivisorFactorizationError(
             "hyperbolic zero divisors have no irreducible factorization"
         )
+    return c
 
 
 # -- the irreducibles each ring reads from one integer factorization -------------
 
 
-def _gaussian_primes(kind: RingKind, p: int) -> tuple[Element, ...]:
-    """The Gaussian primes over the integer prime p, in the order they are tried."""
+def _gaussian_primes(kind: RingKind, p: int, canonical: bool = False) -> tuple[Element, ...]:
+    """The Gaussian primes over the integer prime p, in the order they are tried.
+
+    For p = s² + t² with s > t > 0 they are s + ti, then s - ti or, with
+    ``canonical``, its canonical associate i(s - ti) = t + si.
+    """
     if p == 2:
         return (_mk(kind, 1, 1),)
     if p % 4 == 3:
         return (_mk(kind, p, 0),)
     s, t = sum_two_squares(p)
-    return _mk(kind, s, t), _mk(kind, s, -t)
+    return _mk(kind, s, t), (_mk(kind, t, s) if canonical else _mk(kind, s, -t))
+
+
+def _from_diagonal(u: int, v: int) -> Element:
+    """``from_diagonal_coords(u, v)`` for u ≡ v (mod 2), unchecked."""
+    return _mk(_HYPERBOLIC, (u + v) >> 1, (u - v) >> 1)
 
 
 def _hyperbolic_peel(a: Element) -> tuple[int, int, list[tuple[int, int]]]:
@@ -89,14 +98,14 @@ def _hyperbolic_peel(a: Element) -> tuple[int, int, list[tuple[int, int]]]:
     (2^(γ+1), 2) or (2, 2^(γ+1)).  Every factor has positive diagonal
     coordinates, which makes it its own canonical associate.
     """
-    u, v = diagonal_coords(a)
+    u, v = a.x + a.y, a.x - a.y
     odd = sorted(
         [(p, 0, e) for p, e in int_factor(abs(u))[1] if p != 2]
         + [(p, 1, e) for p, e in int_factor(abs(v))[1] if p != 2]
     )
     peeled = [(1, p) if side else (p, 1) for p, side, e in odd for _ in range(e)]
-    a2, b2 = two_adic_valuation(u), two_adic_valuation(v)
-    if a2:  # u ≡ v (mod 2), so b2 > 0 as well
+    if not u & 1:  # u ≡ v (mod 2), so v is even as well
+        a2, b2 = two_adic_valuation(u), two_adic_valuation(v)
         m = min(a2, b2)
         peeled += [(2, 2)] * (m - 1)
         peeled.append((2 << (a2 - m), 2 << (b2 - m)))
@@ -121,14 +130,13 @@ def split(a: Element) -> tuple[Element, Element] | None:
     ``s·p`` when ``|x| = p^g``, else ``s·(m + kr)``, the piece :func:`factor`
     builds at the power m of the least prime of x; on the axis, ``ky = y * k``.
     """
-    _check_splittable(a)
-    if is_irreducible(a):
+    if _verdict(a).is_irreducible:
         return None
     kind = a.kind
     if kind is _ELLIPTIC:
-        witnesses = (c for p, _ in int_factor(a.eta_plus)[1] for c in _gaussian_primes(kind, p))
+        witnesses = (c for p, _ in int_factor(a.x * a.x + a.y * a.y)[1] for c in _gaussian_primes(kind, p))
     elif kind is _HYPERBOLIC:
-        witnesses = [from_diagonal_coords(*_hyperbolic_peel(a)[2][0])]
+        witnesses = [_from_diagonal(*_hyperbolic_peel(a)[2][0])]
     elif a.x == 0:
         witnesses = [_mk(kind, a.y, 0)]
     else:
@@ -178,42 +186,37 @@ class Factorization(_Record):
 
 def _irreducible(a: Element) -> tuple[Element, list[Element]]:
     canonical, u = a.canonical_associate()
-    return u.inverse(), [canonical]
+    # u's inverse: each hyperbolic unit ±1, ±j is its own, the others have η = 1 and it is ū
+    return (u if a.kind is _HYPERBOLIC else _mk(a.kind, u.x, -u.y)), [canonical]
 
 
 def _factor_elliptic(a: Element) -> tuple[Element, list[Element]]:
-    if is_irreducible(a):
-        return _irreducible(a)
     rest, factors = a, []
-    for p, e in int_factor(a.eta_plus)[1]:
-        primes = [c.canonical_associate()[0] for c in _gaussian_primes(a.kind, p)]
-        for _ in range(e // 2 if p % 4 == 3 else e):  # p ≡ 3 (mod 4) has norm p²
-            for c in primes:
-                q = divides(c, rest)
-                if q is not None:
-                    break
-            else:
-                raise FactorWitnessError(f"no Gaussian prime over {p} divides {rest}")
-            factors.append(c)
-            rest = q
-    if not rest.is_unit():
+    for p, e in int_factor(a.x * a.x + a.y * a.y)[1]:
+        copies = e // 2 if p % 4 == 3 else e  # p ≡ 3 (mod 4) has norm p²
+        # a prime over p that does not divide rest does not divide its cofactors either,
+        # so each is peeled while it divides, the first one first
+        for c in _gaussian_primes(a.kind, p, canonical=True):
+            while copies and (q := divides(c, rest)) is not None:
+                factors.append(c)
+                rest = q
+                copies -= 1
+        if copies:
+            raise FactorWitnessError(f"no Gaussian prime over {p} divides {rest}")
+    if rest.x * rest.x + rest.y * rest.y != 1:
         raise FactorWitnessError(f"{a} leaves the non-unit {rest} after its norm's primes")
     return rest, factors
 
 
 def _factor_hyperbolic(a: Element) -> tuple[Element, list[Element]]:
-    if is_irreducible(a):
-        return _irreducible(a)
     u, v, peeled = _hyperbolic_peel(a)
-    unit = from_diagonal_coords(1 if u > 0 else -1, 1 if v > 0 else -1)
-    return unit, [from_diagonal_coords(fu, fv) for fu, fv in peeled]
+    unit = _from_diagonal(1 if u > 0 else -1, 1 if v > 0 else -1)
+    return unit, [_from_diagonal(fu, fv) for fu, fv in peeled]
 
 
 def _factor_parabolic(a: Element) -> tuple[Element, list[Element]]:
     kind = a.kind
-    if a.x == 0:  # ky = y * k
-        if abs(a.y) == 1:
-            return _irreducible(a)
+    if a.x == 0:  # ky = y * k, |y| >= 2
         unit, factors = _factor_parabolic(_mk(kind, a.y, 0))
         return unit, [*factors, _mk(kind, 0, 1)]
     sign = 1 if a.x > 0 else -1
@@ -228,8 +231,9 @@ def _factor_parabolic(a: Element) -> tuple[Element, list[Element]]:
         while copies < g - 1 and r % p == 0:
             r //= p
             copies += 1
-        factors += [_mk(kind, p, 0)] * copies
-        factors.append(_mk(kind, p ** (g - copies), r))
+        if copies:
+            factors += [_mk(kind, p, 0)] * copies
+        factors.append(_mk(kind, p ** (g - copies) if copies else m, r))
     # a = (sign + kt)(x + k·y_product)
     t, rem = divmod(a.y - sign * y_product, x)
     if rem:
@@ -246,10 +250,19 @@ _FACTOR = {
 
 def factor(a: Element) -> Factorization:
     """Factorization into irreducibles, deterministic up to the stated ordering."""
-    _check_splittable(a)
-    unit, factors = _FACTOR[a.kind](a)
-    factors.sort(key=lambda f: (f.eta_plus, f.x, f.y))
-    return Factorization(unit, tuple(factors), a.kind is _PARABOLIC and a.eta == 0)
+    kind = a.kind
+    if kind is _PARABOLIC and abs(a.x) > 1:
+        # neither zero nor a unit, and factoring x shows whether a is irreducible,
+        # which the verdict would test again
+        unit, factors = _factor_parabolic(a)
+    elif _verdict(a).is_irreducible:
+        unit, factors = _irreducible(a)
+    else:
+        unit, factors = _FACTOR[kind](a)
+    if len(factors) > 1:
+        mu = kind.mu
+        factors.sort(key=lambda f: (abs(f.x * f.x - mu * f.y * f.y), f.x, f.y))
+    return Factorization(unit, tuple(factors), kind is _PARABOLIC and a.x == 0)
 
 
 __all__ = [

@@ -159,29 +159,48 @@ def _table_factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def _table_primes(m: int) -> list[int]:
+    """The primes of a squarefree 1 <= m < 2¹⁶, ascending, read from the table."""
+    out = []
+    while m > 1:
+        p = _FACTOR_OF[m] or m
+        out.append(p)
+        m //= p
+    return out
+
+
 def _strip_small(n: int) -> tuple[list[tuple[int, int]], int]:
     """The prime powers of n > 0 with primes below 2¹², ascending, and n without them.
 
-    One gcd with the product of those primes decides whether any divides n;
-    only then do per-chunk gcds and single divisions say which.
+    Cost model: one gcd with the product of those primes is g, the product
+    of n's primes there, and g = 1 returns at once.  A squarefree number
+    below 2¹⁶ has its primes read from the table, so a g below 2¹⁶ (one
+    prime, or a few small ones) costs no further gcd.  Otherwise the
+    32-prime chunks are walked only while what is left of g is at least
+    2¹⁶: one gcd per chunk gives the product h of n's primes in it, a table
+    read when h is below 2¹⁶ and a scan of the chunk's primes only when it
+    is not, which takes two or more of them; the rest of g, below 2¹⁶,
+    comes from the table.  Then each prime costs its exponent's divisions.
     """
-    out = []
     g = gcd(n, _SMALL_PRODUCT)
+    if g == 1:
+        return [], n
+    primes = []
     for chunk, chunk_product in _SMALL_CHUNKS:
-        if g == 1:
+        if g < _CROSSOVER:
             break
         h = gcd(g, chunk_product)  # the product of n's primes in this chunk
-        g //= h
-        for p in chunk:
-            if h == 1:
-                break
-            if h % p == 0:
-                h //= p
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
+        if h > 1:
+            g //= h
+            primes += _table_primes(h) if h < _CROSSOVER else [p for p in chunk if h % p == 0]
+    out = []
+    for p in primes + _table_primes(g):
+        n //= p
+        e = 1
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
     return out, n
 
 
@@ -292,9 +311,17 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 def sum_two_squares(p: int) -> tuple[int, int] | None:
     """``(a, b)`` with ``p = a² + b²`` and ``a >= b > 0`` for a prime p, or None (exactly when p ≡ 3 mod 4).
 
-    Hermite–Serret/Cornacchia: x = t^((p-1)/4) for the least quadratic
-    non-residue t is a square root of -1 mod p, and the Euclidean algorithm on
-    (p, x) reaches b² + c² = p at its first remainder b below √p.
+    Hermite–Serret/Cornacchia: x = t^((p-1)/4) for a quadratic non-residue t
+    is a square root of -1 mod p, and the Euclidean algorithm on (p, x)
+    reaches b² + c² = p at its first remainder b below √p.  Either root of -1
+    gives the same pair, since p = a² + b² with a >= b > 0 is unique.
+
+    Cost model: one primality test of p, then one modular power per
+    candidate t, which is x itself: t is a non-residue exactly when
+    x² ≡ -1.  For p ≡ 5 (mod 8), 2 is a non-residue and the only candidate.
+    For p ≡ 1 (mod 8), 2 is a residue, so the odd t from 3 are tried; the
+    least non-residue is prime and below 2(log p)² under GRH, so a few
+    powers suffice.  Then the Euclidean descent, O(log p) steps.
     """
     if not is_prime_int(p):
         raise ValueError(f"{p} is not prime")
@@ -302,10 +329,14 @@ def sum_two_squares(p: int) -> tuple[int, int] | None:
         return 1, 1
     if p % 4 == 3:
         return None
-    t = 2
-    while pow(t, (p - 1) // 2, p) != p - 1:
-        t += 1
-    a, b = p, pow(t, (p - 1) // 4, p)
+    q = (p - 1) // 4
+    if p % 8 == 5:
+        x = pow(2, q, p)
+    else:
+        t = 3
+        while (x := pow(t, q, p)) * x % p != p - 1:
+            t += 2
+    a, b = p, x
     while b * b > p:
         a, b = b, a % b
     return b, a % b

@@ -661,3 +661,48 @@ class TestArgvFuzz:
                 assert exc.code in (0, 2), argv
                 return
         assert rc in (0, 1, 2), argv
+
+
+def _parse(parser, argv):
+    """(namespace or exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestOneSubparser:
+    """Given an argv that names its command, ``build_parser`` registers that command's subparser alone."""
+
+    COMMANDS = ("classify", "factor", "divmod", "norm", "dts", "ideal", "oracle", "classify-poly", "exp", "pow",
+                "table")
+    TAILS = ([], ["-h"], ["7+2i"], ["7+2i", "extra"], ["--ring", "q", "5"], ["--bogus"], ["1", "2", "3", "4"],
+             ["divisors", "12+6k", "--box", "3"], ["--ring", "j", "--bound", "5"], ["--", "-2-1k", "1", "2"])
+
+    def test_parses_as_the_full_parser(self):
+        full = build_parser()
+        for command in self.COMMANDS:
+            for prefix in ([], ["--json"], ["--color", "--json"]):
+                for tail in self.TAILS:
+                    argv = [*prefix, command, *tail]
+                    assert _parse(build_parser(argv), argv) == _parse(full, argv), argv
+
+    def test_usage_lists_every_command(self):
+        assert build_parser(["norm", "12-5k"]).format_usage() == build_parser().format_usage()
+
+    def test_registers_only_the_named_command(self):
+        parser = build_parser(["--json", "norm", "12-5k"])
+        assert _parse(parser, ["norm", "12-5k"])[0]["module"] == "norm"
+        code, _, err = _parse(parser, ["classify", "7+2i"])
+        assert code == 2 and "invalid choice: 'classify'" in err
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["--json"], ["bogus"], ["--", "norm", "12-5k"], ["--js", "norm", "1k"],
+                                      ["-x", "norm", "1k"], ["Norm", "1k"]])
+    def test_other_argv_get_the_full_parser(self, argv):
+        parser = build_parser(argv)
+        for command in self.COMMANDS:
+            assert _parse(parser, [command, "-h"])[0] == 0, command
+        assert _parse(parser, argv) == _parse(build_parser(), argv)

@@ -834,3 +834,104 @@ class TestTwoSquares:
             d = max(d for d in sympy.divisors(n) if d * d <= n and (n // d - d) % 2 == 0)
             e = n // d
             assert diff_two_squares(n) == ((d + e) // 2, (e - d) // 2), n
+
+
+class TestSumTwoSquaresByResidue:
+    """The non-residue search: 2 for p ≡ 5 (mod 8), odd t from 3 for p ≡ 1 (mod 8)."""
+
+    @staticmethod
+    def _check(p):
+        a, b = sum_two_squares(p)
+        assert a * a + b * b == p and a >= b > 0, p
+
+    def test_every_prime_one_mod_four_below_2_16(self):
+        residues = set()
+        for p in range(5, 1 << 16, 4):
+            if is_prime_int(p):
+                self._check(p)
+                residues.add(p % 8)
+        assert residues == {1, 5}
+
+    def test_sympy_primes_of_17_to_64_bits(self):
+        rng = random.Random(41)
+        count = {1: 0, 5: 0}
+        while min(count.values()) < 100:
+            bits = rng.randint(17, 64)
+            p = sympy.randprime(1 << (bits - 1), 1 << bits)
+            if p % 8 in count:
+                self._check(p)
+                count[p % 8] += 1
+
+
+class TestSmallPrimeStage:
+    """``int_factor`` against the wheel referee on 2¹²-smooth products crafted around the chunks."""
+
+    CHUNKS = [chunk for chunk, _ in kernel._SMALL_CHUNKS]
+
+    @staticmethod
+    def _check(n):
+        expected = (1, sorted(sympy.factorint(n).items()))
+        assert int_factor(n) == wheel_int_factor(n) == expected, n
+        assert int_factor(-n) == (-1, expected[1]), n
+
+    def test_repeated_primes(self):
+        rng = random.Random(42)
+        for _ in range(300):
+            primes = rng.sample(kernel._SMALL_PRIMES, rng.randint(1, 4))
+            self._check(prod(p ** rng.randint(1, 6) for p in primes))
+
+    def test_two_primes_from_one_chunk(self):
+        # past the first chunks, two primes of one chunk multiply to at least 2¹⁶
+        for chunk in self.CHUNKS:
+            for p, q in zip(chunk, chunk[1:]):
+                self._check(p * q)
+                self._check(p * q * chunk[0] * 4099)
+        assert self.CHUNKS[-1][0] * self.CHUNKS[-1][1] >= 1 << 16
+
+    def test_primes_at_the_edges_of_a_chunk(self):
+        edges = [p for chunk in self.CHUNKS for p in (chunk[0], chunk[-1])]
+        for p, q in zip(edges, edges[1:]):
+            self._check(p * q)
+            self._check(p**2 * q * 65537)
+        self._check(prod(edges[:6]))
+        self._check(prod(edges[-6:]))
+
+    def test_gcds_next_to_2_16(self):
+        small = kernel._SMALL_PRIMES
+        pairs = [(p, q) for p in small for q in small if p < q and abs(p * q - (1 << 16)) < 600]
+        assert any(p * q < 1 << 16 for p, q in pairs) and any(p * q > 1 << 16 for p, q in pairs)
+        for p, q in pairs:
+            self._check(p * q)
+            self._check(p * q * 7)
+            self._check(p * q * p * 4093)
+
+    def test_large_prime_cofactor(self):
+        rng = random.Random(43)
+        for bits in (13, 24, 25, 40, 62):
+            big = sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+            for _ in range(20):
+                primes = rng.sample(kernel._SMALL_PRIMES, rng.randint(1, 5))
+                self._check(big * prod(primes) * rng.choice(primes))
+
+
+def _outcome(fn, z):
+    """fn(z), or the type and message of the domain error it raises."""
+    try:
+        return fn(z)
+    except (ValueError, planeint.RingError) as exc:
+        return type(exc), str(exc)
+
+
+class TestNormsFromCoordinates:
+    def test_factor_and_split_read_no_norm_property(self, monkeypatch):
+        # factor, split and their refusals of zero, units and hyperbolic zero divisors
+        # compute each norm from the coordinates, not through the eta -> eta_plus chain
+        cases = [Element(kind, x, y) for kind in RingKind for x in range(-12, 13) for y in range(-12, 13)]
+        cases += _bignorm_inputs(1).values()
+        expected = [(_outcome(factor, z), _outcome(split, z)) for z in cases]
+
+        def no_property(z):
+            raise AssertionError(f"norm property read for {z!r}")
+
+        monkeypatch.setattr(Element, "eta", property(no_property))
+        assert [(_outcome(factor, z), _outcome(split, z)) for z in cases] == expected

@@ -69,6 +69,13 @@ class TestWhatLoads:
         assert (proc.returncode, proc.stdout) == (0, b"eta 144\neta_plus 144\ntrace 24\n"), proc.stderr
         assert loaded == {"planeint", "planeint.core", "planeint.cli", "planeint.cli.norm"}
 
+    def test_lazy_names_show_in_importtime(self):
+        # the package loads a submodule by the import statement's path, which -X importtime reports
+        proc = child("-X", "importtime", "-c", "import planeint; planeint.classify; planeint.oracle")
+        assert proc.returncode == 0, proc.stderr
+        reported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()}
+        assert {"planeint.classification", "planeint.oracle"} <= reported, proc.stderr
+
     def test_cli_ideal_loads_no_integer_kernel(self):
         # decompose and ideal_contains are gcds and divisibility: no primality, no factoring
         proc, loaded = probe(RUN_CLI, "ideal", "6+4j", "10+2j", "--contains", "4+2j")
