@@ -9,10 +9,13 @@ Highlights of the landscape these rules encode:
 * Gaussian integers: prime == irreducible (the ring has unique
   factorization); the irreducibles are the elements of prime norm plus the
   integer primes ``p ≡ 3 (mod 4)`` and their associates.
-* hyperbolic integers: the primes are the associates of ``1±j`` (inside the
-  zero-divisor diagonals, where they are nevertheless *reducible*) and the
-  elements of prime norm outside; the irreducible non-primes are exactly the
-  associates of ``(2^γ+1) ± j(2^γ-1)``.
+* hyperbolic integers: read in the diagonal coordinates u = x + y and
+  v = x - y, where products are componentwise and η = uv.  The primes are
+  the associates of ``1±j`` (inside the zero-divisor diagonals uv = 0,
+  where they are nevertheless *reducible*) and, outside, the elements with
+  one of |u|, |v| equal to 1 and the other prime; the irreducible
+  non-primes are exactly the associates of ``(2^γ+1) ± j(2^γ-1)``, where
+  {|u|, |v|} = {2, 2^(γ+1)}.
 * parabolic integers: the only primes are ``±k``; off the axis an element
   ``x + ky`` (taken with x > 0) is irreducible iff x is prime, or x is a
   prime power ``p^γ`` (γ >= 2) with ``p ∤ y``.
@@ -28,12 +31,15 @@ builds no record: it returns one of a fixed set of interned
 ``Classification`` instances (zero, units, and one per
 zero-divisor/prime/irreducible triple), so equal verdicts are the same
 object.  :func:`is_prime` and :func:`is_irreducible` cost one ``classify``.
-A Gaussian or hyperbolic verdict makes one primality test, of the norm (of
-the integer on the Gaussian axes).  A parabolic verdict reads an x below 2¹⁶
-from a table and never factors a larger one: ``_prime_power`` takes one gcd
-with the product of the primes below 2¹², which answers at once when x has
-two of them and leaves a single one to divide out; an x with none gets one
-primality test, and a few exact integer roots only when it is composite.
+A Gaussian verdict makes one primality test, of the norm (of the integer on
+the axes).  A hyperbolic verdict makes one, of the larger diagonal
+coordinate, only when the other is ±1; with both at least 2 it makes none,
+since their product is composite, and only checks for the two-power form.
+A parabolic verdict reads an x below 2¹⁶ from a table and never factors a
+larger one: ``_prime_power`` takes one gcd with the product of the primes
+below 2¹², which answers at once when x has two of them and leaves a single
+one to divide out; an x with none gets one primality test, and a few exact
+integer roots only when it is composite.
 """
 
 from __future__ import annotations
@@ -116,17 +122,18 @@ def classify(z: Element) -> Classification:
             power = _prime_power(abs(x))
             prime, irr = False, power is not None and (power[1] == 1 or y % power[0] != 0)
     elif kind is _HYPERBOLIC:
-        if ep == 0:
-            prime, irr = abs(x) == 1, False  # on the diagonals |x| == |y|
-        elif is_prime_int(ep):
-            prime = irr = True
-        elif ep < 4 or ep & (ep - 1):
-            prime = irr = False
+        # lo <= hi are |u|, |v| for the diagonal coordinates u = x+y, v = x-y, with η = uv
+        lo, hi = abs(x + y), abs(x - y)
+        if lo > hi:
+            lo, hi = hi, lo
+        if lo == 0:
+            prime, irr = hi == 2, False  # on the diagonals only the associates of 1 ± j are prime
+        elif lo == 1:
+            prime = irr = is_prime_int(hi)
         else:
-            # the irreducible non-primes of norm 2^(γ+2) are the associates ±z, ±jz
-            # of (2^γ+1) ± j(2^γ-1), i.e. {|x|, |y|} == {2^γ+1, 2^γ-1}
-            half = ep >> 2
-            prime, irr = False, {abs(x), abs(y)} == {half + 1, half - 1}
+            # two non-unit coordinates: the irreducible non-primes are the associates
+            # of (2^γ+1) ± j(2^γ-1), i.e. {lo, hi} == {2, 2^(γ+1)}
+            prime, irr = False, lo == 2 and not hi & (hi - 1)
     elif x and y:  # elliptic: prime norm, or an associate of an integer prime p ≡ 3 (mod 4)
         prime = irr = is_prime_int(ep)
     else:

@@ -13,15 +13,18 @@ computed from the coordinates, not through the ``eta`` properties, and
 only a list of two or more factors is sorted.
 
 * elliptic and hyperbolic: one :func:`classify` refuses zero, the units and
-  the hyperbolic zero divisors, and recognises an irreducible element of
-  prime norm (or of the hyperbolic two-power form) from one primality test
-  of its norm.  Such an element costs that verdict and its canonical
+  the hyperbolic zero divisors, and recognises an irreducible element (of
+  prime norm, or of the hyperbolic two-power form) with at most one
+  primality test.  Such an element costs that verdict and its canonical
   associate.
-* elliptic: otherwise ``int_factor(η⁺)`` runs once and
-  :func:`sum_two_squares` once per distinct prime p ≡ 1 (mod 4), whose two
-  Gaussian primes are built as canonical associates.  One :func:`divides`
-  peels each factor: the first prime over p while it divides, then the
-  second, so each p costs at most one failed division.
+* elliptic: otherwise the verdict has proven η⁺ composite, and
+  ``int_factor(η⁺)`` runs once without testing it again.  A prime
+  p ≡ 1 (mod 4) that does not divide gcd(x, y) has exactly one Gaussian
+  prime dividing a, read from a by Cornacchia's descent on
+  (p, x·y⁻¹ mod p) with no primality test; only the primes of the content
+  take :func:`sum_two_squares`, and both of their primes are tried.  One
+  :func:`divides` checks each factor as it is peeled, so a p of the
+  content costs at most one failed division and any other p none.
 * hyperbolic: otherwise, in the diagonal coordinates (u, v) = (x+y, x-y)
   the product is componentwise and η = uv, so ``int_factor(|u|)`` and
   ``int_factor(|v|)`` give every factor: (p, 1) for each odd prime of u,
@@ -43,7 +46,13 @@ from __future__ import annotations
 from .classification import Classification, classify
 from .core import _ELLIPTIC, _HYPERBOLIC, _PARABOLIC, Element, RingError, RingKind, _mk, _Record
 from .euclid import divides
-from .integers import int_factor, sum_two_squares, two_adic_valuation
+from .integers import (
+    _int_factor_composite,
+    _two_squares_from_root,
+    int_factor,
+    sum_two_squares,
+    two_adic_valuation,
+)
 
 
 class ZeroDivisorFactorizationError(RingError):
@@ -71,16 +80,30 @@ def _verdict(a: Element) -> Classification:
 # -- the irreducibles each ring reads from one integer factorization -------------
 
 
-def _gaussian_primes(kind: RingKind, p: int, canonical: bool = False) -> tuple[Element, ...]:
-    """The Gaussian primes over the integer prime p, in the order they are tried.
+def _gaussian_primes(a: Element, p: int, canonical: bool = False) -> tuple[Element, ...]:
+    """The Gaussian primes over the integer prime p | N(a) that may divide a, in the order they are tried.
 
-    For p = s² + t² with s > t > 0 they are s + ti, then s - ti or, with
-    ``canonical``, its canonical associate i(s - ti) = t + si.
+    Over 2 this is 1 + i, over p ≡ 3 (mod 4) it is p.  Over p ≡ 1 (mod 4),
+    p = s² + t² with s > t > 0.  When p divides gcd(x, y) both primes may
+    divide a: s + ti, then s - ti or, with ``canonical``, its canonical
+    associate i(s - ti) = t + si, with s and t from :func:`sum_two_squares`.
+    Otherwise exactly one of them divides a, and it is read from a: r = x·y⁻¹
+    mod p is a square root of -1, the descent on (p, r) gives s and t, and
+    the sign of t that makes s ≡ rt (mod p) picks the one that divides, since
+    i ≡ -s/t modulo s + ti.
     """
+    kind = a.kind
     if p == 2:
         return (_mk(kind, 1, 1),)
     if p % 4 == 3:
         return (_mk(kind, p, 0),)
+    x, y = a.x, a.y
+    if x % p or y % p:
+        r = x * pow(y, -1, p) % p
+        s, t = _two_squares_from_root(p, r)
+        if (s - r * t) % p:
+            t = -t
+        return (_mk(kind, -t, s) if canonical and t < 0 else _mk(kind, s, t),)
     s, t = sum_two_squares(p)
     return _mk(kind, s, t), (_mk(kind, t, s) if canonical else _mk(kind, s, -t))
 
@@ -125,7 +148,7 @@ def split(a: Element) -> tuple[Element, Element] | None:
 
     None means a is irreducible.  Otherwise b is the first witness below that
     divides a, and c is the exact quotient, unique because b has nonzero norm.
-    Elliptic: a Gaussian prime over the primes of η⁺, ascending.  Hyperbolic:
+    Elliptic: a Gaussian prime over the least prime of η⁺.  Hyperbolic:
     the first factor :func:`factor` peels.  Parabolic, with s the sign of x:
     ``s·p`` when ``|x| = p^g``, else ``s·(m + kr)``, the piece :func:`factor`
     builds at the power m of the least prime of x; on the axis, ``ky = y * k``.
@@ -134,7 +157,7 @@ def split(a: Element) -> tuple[Element, Element] | None:
         return None
     kind = a.kind
     if kind is _ELLIPTIC:
-        witnesses = (c for p, _ in int_factor(a.x * a.x + a.y * a.y)[1] for c in _gaussian_primes(kind, p))
+        witnesses = _gaussian_primes(a, _int_factor_composite(a.x * a.x + a.y * a.y)[1][0][0])
     elif kind is _HYPERBOLIC:
         witnesses = [_from_diagonal(*_hyperbolic_peel(a)[2][0])]
     elif a.x == 0:
@@ -192,11 +215,11 @@ def _irreducible(a: Element) -> tuple[Element, list[Element]]:
 
 def _factor_elliptic(a: Element) -> tuple[Element, list[Element]]:
     rest, factors = a, []
-    for p, e in int_factor(a.x * a.x + a.y * a.y)[1]:
+    for p, e in _int_factor_composite(a.x * a.x + a.y * a.y)[1]:
         copies = e // 2 if p % 4 == 3 else e  # p ≡ 3 (mod 4) has norm p²
         # a prime over p that does not divide rest does not divide its cofactors either,
         # so each is peeled while it divides, the first one first
-        for c in _gaussian_primes(a.kind, p, canonical=True):
+        for c in _gaussian_primes(a, p, canonical=True):
             while copies and (q := divides(c, rest)) is not None:
                 factors.append(c)
                 rest = q

@@ -272,18 +272,34 @@ def int_factor(n: int) -> tuple[int, list[tuple[int, int]]]:
     cost grows with the square root of the second-largest distinct prime
     factor, so balanced semiprimes far above 64 bits stay slow.
     """
+    return _int_factor(n, False)
+
+
+def _int_factor_composite(n: int) -> tuple[int, list[tuple[int, int]]]:
+    """:func:`int_factor` of an n that a primality test has already proven composite.
+
+    When the small-prime stage strips nothing, the cofactor is n itself, and
+    it goes to the exact-root test and rho without a second primality test.
+    """
+    return _int_factor(n, True)
+
+
+def _int_factor(n: int, composite: bool) -> tuple[int, list[tuple[int, int]]]:
+    """:func:`int_factor`, told whether n is already proven composite."""
     if n == 0:
         raise ValueError("0 has no factorization")
     sign = -1 if n < 0 else 1
     n = abs(n)
     if n < _CROSSOVER:
         return sign, _table_factor(n)
+    proven = n if composite else 0  # a piece equal to n is n unstripped
     out, n = _strip_small(n)
     counts: dict[int, int] = {}
     pending = [(n, 1)] if n > 1 else []  # (piece, multiplicity)
     while pending:
         m, k = pending.pop()
-        if m < _SMOOTH_PRIME_END or is_prime_int(m):  # the pieces keep n's lack of primes below 2¹²
+        # the pieces keep n's lack of primes below 2¹², so one below 2²⁴ is prime
+        if m < _SMOOTH_PRIME_END or m != proven and is_prime_int(m):
             counts[m] = counts.get(m, 0) + k
         elif root := _exact_root(m):
             pending.append((root[0], k * root[1]))
@@ -308,20 +324,34 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _two_squares_from_root(p: int, r: int) -> tuple[int, int]:
+    """``(s, t)`` with ``p = s² + t²`` and ``s > t > 0``, from a square root r of -1 mod the prime p ≡ 1 (mod 4).
+
+    Cornacchia's descent (Hermite–Serret, Brillhart 1972): the Euclidean
+    algorithm on (p, r) reaches s at its first remainder below √p, and t is
+    the next remainder.  Either root of -1 gives the same pair, since
+    p = s² + t² with s > t > 0 is unique.  O(log p) steps.
+    """
+    a, b = p, r
+    while b * b > p:
+        a, b = b, a % b
+    return b, a % b
+
+
 def sum_two_squares(p: int) -> tuple[int, int] | None:
     """``(a, b)`` with ``p = a² + b²`` and ``a >= b > 0`` for a prime p, or None (exactly when p ≡ 3 mod 4).
 
-    Hermite–Serret/Cornacchia: x = t^((p-1)/4) for a quadratic non-residue t
-    is a square root of -1 mod p, and the Euclidean algorithm on (p, x)
-    reaches b² + c² = p at its first remainder b below √p.  Either root of -1
-    gives the same pair, since p = a² + b² with a >= b > 0 is unique.
+    x = t^((p-1)/4) for a quadratic non-residue t is a square root of -1
+    mod p, and Cornacchia's descent on (p, x), which
+    :mod:`planeint.factorization` shares to read a Gaussian prime from the
+    element it divides, gives the pair.
 
     Cost model: one primality test of p, then one modular power per
     candidate t, which is x itself: t is a non-residue exactly when
     x² ≡ -1.  For p ≡ 5 (mod 8), 2 is a non-residue and the only candidate.
     For p ≡ 1 (mod 8), 2 is a residue, so the odd t from 3 are tried; the
     least non-residue is prime and below 2(log p)² under GRH, so a few
-    powers suffice.  Then the Euclidean descent, O(log p) steps.
+    powers suffice.  Then the descent, O(log p) steps.
     """
     if not is_prime_int(p):
         raise ValueError(f"{p} is not prime")
@@ -336,10 +366,7 @@ def sum_two_squares(p: int) -> tuple[int, int] | None:
         t = 3
         while (x := pow(t, q, p)) * x % p != p - 1:
             t += 2
-    a, b = p, x
-    while b * b > p:
-        a, b = b, a % b
-    return b, a % b
+    return _two_squares_from_root(p, x)
 
 
 def two_adic_valuation(n: int) -> int:

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 import sympy
@@ -245,6 +246,91 @@ class TestInternedVerdicts:
         for kind in RingKind:
             for z in [Element(kind, 0, 0), *_box(kind, 5)]:
                 classify(z), is_prime(z), is_irreducible(z)
+
+
+def _from_diagonal(u, v):
+    return H((u + v) // 2, (u - v) // 2)
+
+
+def _carmichael_numbers(count, k):
+    """Chernick's (6k+1)(12k+1)(18k+1) from k on, a Carmichael number whenever all three factors are prime."""
+    out = []
+    while len(out) < count:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(sympy.isprime(f) for f in factors):
+            out.append(factors[0] * factors[1] * factors[2])
+        k += 1
+    return out
+
+
+class TestHyperbolicDiagonalRule:
+    """The hyperbolic verdict, read from the diagonal coordinates u = x+y and v = x-y.
+
+    Every pair {|u|, |v|} is tried with both signs on each coordinate and in
+    both orders, against the sympy and paper-rule referee, which reads the
+    norm x² - y² and the form (2^γ+1) ± j(2^γ-1) from x and y.
+    """
+
+    PSI_4 = 3_215_031_751  # 151·751·28351, a strong pseudoprime to the bases 2, 3, 5 and 7
+
+    @classmethod
+    def _both_non_units(cls):
+        rng = random.Random("hyperbolic-both-non-units")
+        pairs = [(2, 1 << (gamma + 1)) for gamma in range(101)]  # the irreducible non-primes
+        pairs += [(2, (1 << k) * m) for k in range(1, 100, 9) for m in (3, 5, 15, 2**31 - 1, rng.getrandbits(60) | 1)]
+        pairs += [(4, 1 << k) for k in range(2, 190, 11)]
+        for _ in range(60):  # 20-200 bits of norm, both coordinates odd or both even
+            u = rng.getrandbits(rng.randint(2, 100)) | 2
+            v = rng.getrandbits(rng.randint(18, 100)) | 2
+            pairs.append((u, v) if u % 2 == v % 2 else (u, v + 1))
+        pairs += [(2**61 - 1, 2**89 - 1), (3, 2**127 - 1), (cls.PSI_4, 2**31 - 1)]
+        return pairs
+
+    @classmethod
+    def _one_unit(cls):
+        # primes of 20-80 bits stay below ψ13, past which a prime is trial-divided
+        primes = [sympy.nextprime(3 << (b - 2)) for b in range(20, 81, 3)]
+        primes += [2**61 - 1, 2**31 - 1]
+        composites = _carmichael_numbers(8, 7) + _carmichael_numbers(4, 10**6)
+        composites += [cls.PSI_4, (2**31 - 1) * (2**61 - 1) * (2**89 - 1)]
+        return [(1, n) for n in primes + composites]
+
+    @staticmethod
+    def _associates(pairs):
+        for a, b in pairs:
+            for u, v in ((a, b), (b, a)):
+                for su in (1, -1):
+                    for sv in (1, -1):
+                        yield _from_diagonal(su * u, sv * v)
+
+    def test_both_coordinates_at_least_two(self):
+        for z in self._associates(self._both_non_units()):
+            assert classify(z) == reference_classify(z), z
+
+    def test_one_coordinate_a_unit(self):
+        flags = set()
+        for z in self._associates(self._one_unit()):
+            c = classify(z)
+            assert c == reference_classify(z), z
+            flags.add(c.is_prime)
+        assert flags == {True, False}
+
+    def test_no_primality_test_with_two_non_unit_coordinates(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return is_prime_int(n)
+
+        monkeypatch.setattr(classification, "is_prime_int", counting)
+        box = [z for z in _box(RingKind.HYPERBOLIC, 30) if min(abs(z.x + z.y), abs(z.x - z.y)) >= 2]
+        for z in [*box, *self._associates(self._both_non_units())]:
+            classify(z)
+            assert calls == [], (z, calls)
+        for z in self._associates(self._one_unit()):
+            calls.clear()
+            classify(z)
+            assert len(calls) == 1, (z, calls)
 
 
 class TestStructuralInvariants:

@@ -637,6 +637,7 @@ class TestFactorMatchesRecursion:
         for z, primes in _known_prime_products(kind, 40):
             known = _over(primes)
             monkeypatch.setattr(FACTOR_MODULE, "int_factor", known)
+            monkeypatch.setattr(FACTOR_MODULE, "_int_factor_composite", known)  # the elliptic norm's seam
             assert _result(factor(z)) == referee_factor(z, known), z
             assert split(z) == referee_split(z, known), z
 
@@ -659,19 +660,56 @@ class TestFactorCost:
             return wrapper
 
         monkeypatch.setattr(FACTOR_MODULE, "sum_two_squares", counted("sum_two_squares", sum_two_squares))
-        cases = [(z, int_factor) for z in _bignorm_inputs(1).values()]
-        cases += [(Element(kind, x, y), int_factor) for kind in RingKind for x in range(-12, 13) for y in range(-12, 13)]
-        cases += [(z, _over(primes)) for kind in RingKind for z, primes in _known_prime_products(kind, 10)]
-        for z, kernel_factor in cases:
+        # (element, int_factor, int_factor of a norm the verdict proved composite)
+        kernel_pair = (int_factor, kernel._int_factor_composite)
+        cases = [(z, *kernel_pair) for z in _bignorm_inputs(1).values()]
+        cases += [(Element(kind, x, y), *kernel_pair) for kind in RingKind for x in range(-12, 13) for y in range(-12, 13)]
+        cases += [(z, known, known) for kind in RingKind for z, primes in _known_prime_products(kind, 10)
+                  for known in [_over(primes)]]
+        for z, kernel_factor, composite_factor in cases:
             if not _splittable(z):
                 continue
             monkeypatch.setattr(FACTOR_MODULE, "int_factor", counted("int_factor", kernel_factor))
+            monkeypatch.setattr(FACTOR_MODULE, "_int_factor_composite", counted("int_factor", composite_factor))
             for seen in calls.values():
                 seen.clear()
             factor(z)
             assert len(calls["int_factor"]) <= (2 if z.kind is RingKind.HYPERBOLIC else 1), (z, calls)
             primes = calls["sum_two_squares"]
-            assert len(primes) == len(set(primes)) and all(p % 4 == 1 for p in primes), (z, calls)
+            assert len(primes) == len(set(primes)), (z, calls)
+            # only a prime of the content gcd(x, y) is written as a sum of two squares
+            assert all(p % 4 == 1 and z.x % p == 0 and z.y % p == 0 for p in primes), (z, calls)
+
+    def test_primality_tests_on_bignorm(self, monkeypatch):
+        count = [0]
+
+        def counted(fn):
+            def wrapper(n):
+                count[0] += 1
+                return fn(n)
+
+            return wrapper
+
+        for module in (kernel, CLASSIFY_MODULE):
+            monkeypatch.setattr(module, "is_prime_int", counted(module.is_prime_int))
+        per_class = {}  # (ring symbol, input class) -> the is_prime_int calls of each factor
+        for (sym, cls, _, _), z in _bignorm_inputs(1).items():
+            count[0] = 0
+            factor(z)
+            per_class.setdefault((sym, cls), []).append(count[0])
+        # a Gaussian semiprime: the verdict on the norm, and nothing after it
+        assert set(per_class["i", "semiprime"]) == {1}, per_class
+        # a hyperbolic semiprime or smooth element: both diagonal coordinates are non-units
+        assert set(per_class["j", "semiprime"]) == set(per_class["j", "smooth"]) == {0}, per_class
+        assert set(per_class["j", "prime"]) == {1}, per_class
+
+    def test_gaussian_primes_outside_the_content_are_read_from_the_element(self, monkeypatch):
+        # norm 5³·65537·70001: the content 5 takes sum_two_squares, 65537 and 70001 do not
+        calls = []
+        monkeypatch.setattr(FACTOR_MODULE, "sum_two_squares", lambda p: calls.append(p) or sum_two_squares(p))
+        f = factor(C(333045, -61420))
+        assert (f.unit, f.factors) == (C(-1, 0), (C(1, 2), C(2, 1), C(256, 1), C(49, 260)))
+        assert calls == [5]
 
 
 class TestParabolicVerdictCost:
@@ -722,14 +760,16 @@ class TestWitnessChecks:
 
     def test_elliptic_divisor(self, monkeypatch):
         monkeypatch.setattr(FACTOR_MODULE, "divides", lambda b, a: None)
-        with pytest.raises(FactorWitnessError, match="divides"):
-            factor(C(5, 0))
-        with pytest.raises(FactorWitnessError, match="divides"):
-            split(C(5, 0))
+        # 5 = (2+i)(2-i) through sum_two_squares; 4+7i = (2+i)(3+2i) through the primes read from z
+        for z in (C(5, 0), C(4, 7)):
+            with pytest.raises(FactorWitnessError, match="divides"):
+                factor(z)
+            with pytest.raises(FactorWitnessError, match="divides"):
+                split(z)
 
     def test_elliptic_cofactor_is_a_unit(self, monkeypatch):
         # a factorization of the norm 100 that leaves out 2
-        monkeypatch.setattr(FACTOR_MODULE, "int_factor", lambda n: (1, [(5, 2)]))
+        monkeypatch.setattr(FACTOR_MODULE, "_int_factor_composite", lambda n: (1, [(5, 2)]))
         with pytest.raises(FactorWitnessError, match="non-unit"):
             factor(C(10, 0))
 
