@@ -80,7 +80,8 @@ class _Record:
     its own ``__init__``, which checks its arguments and stores the fields
     through ``_setters``, its slots' own setters in slot order, which get
     past the frozen ``__setattr__``; pickle and copy rebuild a record through
-    that ``__init__``.
+    that ``__init__``.  Elements that ring operations build skip it: ``_mk``
+    fills a writable twin class and then switches it to ``Element``.
     """
 
     __slots__ = ()
@@ -329,20 +330,39 @@ class Element(_Record):
         return f"Element({self.kind.name}, {self.x}, {self.y})"
 
 
-# Element.__init__ and _mk store the fields through the slots' own setters,
-# which get past the record's frozen __setattr__.  Ring operations build their
-# results through _mk: their coordinates are ints by construction, so the
-# validation in Element.__init__ is skipped.
+# Element.__init__ stores the fields through the slots' own setters, which get
+# past the record's frozen __setattr__.  Ring operations build their results
+# through _mk instead: their coordinates are ints by construction, so the
+# validation in Element.__init__ is skipped, and the fields are plain stores on
+# a writable twin of Element that then becomes an Element.
 _new = object.__new__
 _set_kind, _set_x, _set_y = Element._setters
 
 
+class _Draft(Element):
+    """An ``Element`` under construction: its fields are writable.
+
+    ``__setattr__`` and ``__delattr__`` are both object's again.  They share
+    one type slot, so with ``__delattr__`` still the record's Python-level
+    method every store goes through the generic dispatch, and ``_mk`` ran
+    about twice as slow as through the slot setters.  The twin adds no slots:
+    its instances then have Element's layout, which is what lets
+    ``__class__`` be switched to ``Element`` (CPython refuses the switch
+    between differing layouts).
+    """
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+
 def _mk(kind: RingKind, x: int, y: int) -> Element:
     """``Element(kind, x, y)`` for ``kind`` a RingKind and ints x, y, unchecked."""
-    z = _new(Element)
-    _set_kind(z, kind)
-    _set_x(z, x)
-    _set_y(z, y)
+    z = _new(_Draft)
+    z.kind = kind
+    z.x = x
+    z.y = y
+    z.__class__ = Element  # frozen from here on, and of type exactly Element
     return z
 
 

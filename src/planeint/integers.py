@@ -234,21 +234,22 @@ def _exact_root(m: int) -> tuple[int, int] | None:
 def _prime_power(n: int) -> tuple[int, int] | None:
     """``(p, g)`` with ``n = p^g`` for a prime p, or None; n >= 2.
 
-    Below 2¹⁶ this is a table lookup.  Above, n is never factored: one gcd
-    with the product of the primes below 2¹² is the product of n's primes
-    there.  Two or more of them (a gcd past 2¹⁶, or one the table factors)
-    answer None at once; one prime p is divided out alone, and n is a power
-    of p exactly when nothing is left.  An n with none of them is prime
-    below 2²⁴, a larger one needs one :func:`is_prime_int`, and a composite
-    one is a prime power only through :func:`_exact_root`.
+    n is never factored.  One prime p is divided out alone, and n is a power
+    of p exactly when nothing is left.  Below 2¹⁶, p is the table's least
+    prime of n.  Above, one gcd with the product of the primes below 2¹² is
+    the product of n's primes there: two or more of them (a gcd past 2¹⁶, or
+    one the table factors) answer None at once, and one of them is p.  An n
+    with none of them is prime below 2²⁴, a larger one needs one
+    :func:`is_prime_int`, and a composite one is a prime power only through
+    :func:`_exact_root`.
     """
     if n < _CROSSOVER:
-        powers = _table_factor(n)
-        return powers[0] if len(powers) == 1 else None
-    p = gcd(n, _SMALL_PRODUCT)
-    if p > 1:
+        p = _FACTOR_OF[n] or n
+    else:
+        p = gcd(n, _SMALL_PRODUCT)
         if p >= _CROSSOVER or _FACTOR_OF[p]:
             return None
+    if p > 1:
         g = 0
         while n % p == 0:
             n //= p

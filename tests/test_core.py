@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -8,12 +10,15 @@ from planeint import (
     Element,
     KindMismatchError,
     NotInvertibleError,
+    FGIdeal,
     RingKind,
     WrongRingError,
+    decompose,
     diagonal_coords,
     div_rem,
     divides,
     elliptic,
+    factor,
     from_diagonal_coords,
     hyperbolic,
     inner_product,
@@ -21,6 +26,7 @@ from planeint import (
     norm_data,
     normalize_associate,
     parabolic,
+    split,
 )
 
 H, K, C = hyperbolic, parabolic, elliptic
@@ -419,6 +425,58 @@ class TestResultsAreValidElements:
             assert type(r.x) is int and type(r.y) is int
             built = Element(kind, r.x, r.y)
             assert r == built and hash(r) == hash(built)
+
+    @staticmethod
+    def box_results(z, w):
+        """Every element the ring operations, the Euclidean kernel and factor build from z and w."""
+        kind = z.kind
+        out = [z + w, z - w, z * w, z**3, -z, z.conj(), z + 2, 2 - z, 2 * z, *z.canonical_associate()]
+        if z.is_unit():
+            out.append(z.inverse())
+        d = div_rem(z, w)
+        out += [d.quotient, d.remainder, divides(w, z * w)]
+        if z:
+            out.append(divides(z, z * w))
+            alpha = decompose(FGIdeal.of(z, w)).alpha
+            if alpha is not None:
+                out.append(alpha)
+        if z and not z.is_unit() and not (kind is RingKind.HYPERBOLIC and z.is_zero_divisor()):
+            f = factor(z)
+            out += [f.unit, *f.factors]
+            out += split(z) or ()
+        return out
+
+    def check_plain(self, r):
+        built = Element(r.kind, r.x, r.y)
+        assert r == built and not r != built and hash(r) == hash(built)
+        assert repr(r) == repr(built) and str(r) == str(built)
+        for clone in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert type(clone) is Element and clone == built
+        # __class__ too: assigning it could turn an element back into a writable one
+        for name in ("kind", "x", "y", "__class__"):
+            for target in (r, built):
+                with pytest.raises(AttributeError) as assigned:
+                    setattr(target, name, 0)
+                assert str(assigned.value) == f"cannot assign to field {name!r}"
+                with pytest.raises(AttributeError) as deleted:
+                    delattr(target, name)
+                assert str(deleted.value) == f"cannot delete field {name!r}"
+        assert type(r) is Element and r == built  # the refused writes changed nothing
+
+    @pytest.mark.parametrize("kind", list(RingKind))
+    def test_box_results_are_plain_elements(self, kind):
+        # w has nonzero norm in every ring (13, 5 and 9), so it divides
+        w = Element(kind, 3, -2)
+        b = 12
+        seen = set()
+        for x in range(-b, b + 1):
+            for y in range(-b, b + 1):
+                for r in self.box_results(Element(kind, x, y), w):
+                    assert type(r) is Element, (x, y, r)
+                    if (r.x, r.y) not in seen:
+                        seen.add((r.x, r.y))
+                        self.check_plain(r)
+        assert len(seen) > (2 * b + 1) ** 2
 
 
 class TestDiagonalCoords:

@@ -299,6 +299,12 @@ class TestPrimePower:
         for n in range(2, 2 * 10**5):
             assert _prime_power(n) == _trial_prime_power(n), n
 
+    def test_table_range_matches_the_table_factorization(self):
+        # below 2¹⁶ the least prime is read from the table and divided out alone
+        for n in range(2, 1 << 16):
+            powers = kernel._table_factor(n)
+            assert _prime_power(n) == (powers[0] if len(powers) == 1 else None), n
+
     def test_powers_of_primes_near_the_stage_bounds(self):
         others = (3, 4091, 4099, 65537, 1000003, 2**61 - 1)
         for b in (8, 12, 16, 32, 64):
