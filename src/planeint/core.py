@@ -24,6 +24,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from enum import Enum
+from math import isqrt
 
 
 class RingError(Exception):
@@ -446,6 +447,31 @@ def from_diagonal_coords(u: int, v: int) -> Element:
     if (u - v) % 2:
         raise ValueError(f"({u}, {v}) has mixed parity and is not a ring point")
     return Element(_HYPERBOLIC, (u + v) // 2, (u - v) // 2)
+
+
+# -- Gaussian primes and ideals from a square root of -1 --------------------
+#
+# Here, not in ``integers``: ``euclid`` runs the descent on an ideal's norm, and
+# ``core`` is the one module both may import.
+
+
+def _cornacchia(n: int, c: int) -> tuple[int, int]:
+    """``(s, t)`` with ``s ≡ c·t (mod n)`` and ``|t| = isqrt(n - s²)``, for 0 <= c < n.
+
+    Cornacchia's descent (Hermite–Serret, Brillhart 1972; Basilla 2004 for
+    composite n): for c² ≡ -1 (mod n) with n = s² + t², gcd(s, t) = 1, the
+    first remainder s of Euclid on (n, c) with s² <= n has n - s² = t² and
+    s ≡ ±c·t (mod n).  The sign of t that makes s ≡ c·t puts s + ti in the
+    Gaussian ideal {x ≡ c·y (mod n)}, the one s + ti generates.  t is read
+    from ``isqrt``: the next remainder is 0 at n = 2, where t = 1.  For any
+    other c the pair still comes back, and s² + t² != n shows it.  O(log n)
+    steps.
+    """
+    r, s, root = n, c, isqrt(n)
+    while s > root:
+        r, s = s, r % s
+    t = isqrt(n - s * s)
+    return (s, t) if (s - c * t) % n == 0 else (s, -t)
 
 
 # -- text form --------------------------------------------------------------

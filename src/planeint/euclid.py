@@ -14,7 +14,8 @@ and the same rule checks each closed form, so no ideal operation divides.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from collections.abc import Iterable
+from math import gcd
 
 from .core import (
     _ELLIPTIC,
@@ -24,6 +25,7 @@ from .core import (
     KindMismatchError,
     RingError,
     RingKind,
+    _cornacchia,
     _mk,
     _Record,
     from_diagonal_coords,
@@ -172,21 +174,19 @@ class IdealDecomposition(_Record):
         set_d0_gen(self, d0_gen)
 
 
-def _parabolic_basis(gens: list[Element]) -> tuple[int, int, int]:
-    """Hermite basis (a, b), (0, d) of a parabolic ideal: a >= 0 and 0 <= b < d.
+def _hermite(f: int, d: int, rows: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
+    """Hermite basis (f', b), (0, d') of the ℤ-span of (f, 0), (0, d) and the rows: 0 <= b < d'.
 
-    Each generator x + ky, none of them 0, adds the rows (x, y) and
-    k·(x + ky) = (0, x) to the ℤ-span; the fold runs on them reduced modulo
-    (a², 0) and (0, a), a = gcd(x), which the span holds (see :func:`decompose`).
+    One extended-gcd fold on the rows reduced modulo (f, 0) and (0, d), so
+    it runs on numbers of their size, not the rows'.  It stops once f = 1,
+    where both callers' spans are complete.  :func:`decompose` states each
+    step and both stops.
     """
-    a = gcd(*(z.x for z in gens))
-    if not a:  # every generator lies on the axis
-        return 0, 0, gcd(*(z.y for z in gens))
-    a2 = a * a
-    # the span of (a², 0) and (0, a), which holds every row (0, x)
-    f, b, d = a2, 0, a
-    for z in gens:
-        x, y = z.x % a2, z.y % a
+    f0, d0, b = f, d, 0
+    for x, y in rows:
+        if f == 1:
+            break
+        x, y = x % f0, y % d0
         if not x:
             d = gcd(d, y)
             continue
@@ -196,7 +196,21 @@ def _parabolic_basis(gens: list[Element]) -> tuple[int, int, int]:
         t = (g - s * f) // x
         d = gcd(d, x // g * b - f // g * y)
         f, b = g, (s * b + t * y) % d
-    return a, b % d, d
+    return f, b % d, d
+
+
+def _parabolic_basis(gens: list[Element]) -> tuple[int, int, int]:
+    """Hermite basis (a, b), (0, d) of a parabolic ideal: a >= 0 and 0 <= b < d.
+
+    Each generator x + ky, none of them 0, adds the rows (x, y) and
+    k·(x + ky) = (0, x) to the ℤ-span, which holds (a², 0) and (0, a),
+    a = gcd(x), so :func:`_hermite` folds the rows (x, y) from them (see
+    :func:`decompose`).
+    """
+    a = gcd(*[z.x for z in gens])
+    if not a:  # every generator lies on the axis
+        return 0, 0, gcd(*[z.y for z in gens])
+    return _hermite(a * a, a, [(z.x, z.y) for z in gens])
 
 
 def _gaussian_alpha(gens: list[Element]) -> tuple[Element, int]:
@@ -208,21 +222,12 @@ def _gaussian_alpha(gens: list[Element]) -> tuple[Element, int]:
     n = index // g2
     if n == 1:
         return _mk(_ELLIPTIC, g, 0), index
-    px = py = 0
-    for vx, vy in (v for x, y in pts for v in ((x // g, y // g), (-y // g, x // g))):
-        # the largest divisor of n prime to py; once py is prime to n, t = n adds nothing
-        t = n // gcd(n, pow(py, n.bit_length(), n))
-        if t == n:
-            break
-        px, py = (px + t * vx) % n, (py + t * vy) % n
-    c = px * pow(py, -1, n) % n
-    r, s = n, c
-    while s * s > n:
-        r, s = s, r % s
-    t = isqrt(n - s * s)
+    # (β) in the coordinates (y, x): each gᵢ/g and i·gᵢ/g, over the span of (n, 0) and (0, n)
+    rows = (row for x, y in pts for row in ((y // g, x // g), (x // g, -y // g)))
+    c = _hermite(n, n, rows)[1]
+    s, t = _cornacchia(n, c)
     if s * s + t * t != n:
         raise EuclidInvariantError(f"Cornacchia's descent on {n} from {c} left a non-square")
-    t = t if (s - c * t) % n == 0 else -t
     return _mk(_ELLIPTIC, g * s, g * t).canonical_associate()[0], index
 
 
@@ -259,9 +264,11 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
     Cohen 1993, §2.4.2), and the (0, xᵢ) are multiples of (0, a).  One
     extended-gcd fold over these rows, from (f, b) = (a², 0) and d = a, gives
     its Hermite basis (a, b), (0, d) on numbers of a²'s size, not the
-    generators': a row (x, y) with x ≠ 0 takes f to g = gcd(f, x) = s·f + t·x
-    and b to s·b + t·y, and leaves (x/g)·b − (f/g)·y on the axis, a unimodular
-    step; an axis row (0, y) takes d to gcd(d, y).  So α = a + k·(b mod d) has
+    generators' (:func:`_hermite`, which Gaussian ideals share): a row (x, y)
+    with x ≠ 0 takes f to g = gcd(f, x) = s·f + t·x and b to s·b + t·y, and
+    leaves (x/g)·b − (f/g)·y on the axis, a unimodular step; an axis row
+    (0, y) takes d to gcd(d, y).  The fold stops once f = 1, which here
+    means a = 1 and d = 1, the whole plane.  So α = a + k·(b mod d) has
     least nonzero norm, and the ideal meets the axis in dℤ.  As d | a,
     0 <= b mod d < d <= a is already the range of
     :meth:`Element.canonical_associate`.  (a, b mod d, d) is the Hermite form
@@ -274,13 +281,14 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
     the running gcd stops once it reaches g².  So α = g·β with β = s + ti
     primitive of norm n = D/g², and t is prime to n.  For c = s·t⁻¹ mod n,
     x ≡ c·y (mod n) is a lattice of index n holding β and iβ: it is (β), and
-    c² ≡ −1.  So c = X·Y⁻¹ for any (X, Y) in (β) with Y prime to n, found by
-    folding in the gᵢ/g and i·gᵢ/g as (X, Y) += t·v, t the largest divisor
-    of n prime to Y: a prime of n stays in Y only if it divides every v's y,
-    and their gcd is 1.  Once Y is prime to n, t = n and the fold stops.
-    Cornacchia's descent (Basilla 2004 for composite n): the first remainder
-    s of Euclid on (n, c) with s² <= n has n − s² = t² and s ≡ ±c·t (mod n),
-    and the sign that puts s + ti in (β) makes it β.
+    c² ≡ −1.  In the coordinates (y, x) its Hermite basis is (1, c), (0, n),
+    and the parabolic ideals' fold gives it: (β) holds n = ββ̄ and i·n, so
+    the rows (yᵢ/g, xᵢ/g) and (xᵢ/g, −yᵢ/g) of the gᵢ/g and i·gᵢ/g are
+    folded from (n, 0) and (0, n).  The fold stops at the first f = 1: a
+    span holding (1, b) and (0, d) with d | n has index d, and inside (β)
+    its index is at least n, so it is (β).  Cornacchia's descent on (n, c)
+    (Basilla 2004 for composite n) gives s² + t² = n with s ≡ c·t (mod n),
+    which puts s + ti in (β) and makes it β.
 
     Hyperbolic ideals have a closed form.  In the diagonal coordinates
     (u, v) = (x+y, x−y) the product is componentwise and η = uv.  Put

@@ -44,15 +44,9 @@ reaches, down to the choice among the non-unique factorizations.
 from __future__ import annotations
 
 from .classification import Classification, classify
-from .core import _ELLIPTIC, _HYPERBOLIC, _PARABOLIC, Element, RingError, RingKind, _mk, _Record
+from .core import _ELLIPTIC, _HYPERBOLIC, _PARABOLIC, Element, RingError, RingKind, _cornacchia, _mk, _Record
 from .euclid import divides
-from .integers import (
-    _int_factor_composite,
-    _two_squares_from_root,
-    int_factor,
-    sum_two_squares,
-    two_adic_valuation,
-)
+from .integers import _int_factor_composite, int_factor, sum_two_squares, two_adic_valuation
 
 
 class ZeroDivisorFactorizationError(RingError):
@@ -80,17 +74,16 @@ def _verdict(a: Element) -> Classification:
 # -- the irreducibles each ring reads from one integer factorization -------------
 
 
-def _gaussian_primes(a: Element, p: int, canonical: bool = False) -> tuple[Element, ...]:
+def _gaussian_primes(a: Element, p: int) -> tuple[Element, ...]:
     """The Gaussian primes over the integer prime p | N(a) that may divide a, in the order they are tried.
 
     Over 2 this is 1 + i, over p ≡ 3 (mod 4) it is p.  Over p ≡ 1 (mod 4),
     p = s² + t² with s > t > 0.  When p divides gcd(x, y) both primes may
-    divide a: s + ti, then s - ti or, with ``canonical``, its canonical
-    associate i(s - ti) = t + si, with s and t from :func:`sum_two_squares`.
+    divide a: s + ti, then s - ti, with s and t from :func:`sum_two_squares`.
     Otherwise exactly one of them divides a, and it is read from a: r = x·y⁻¹
-    mod p is a square root of -1, the descent on (p, r) gives s and t, and
-    the sign of t that makes s ≡ rt (mod p) picks the one that divides, since
-    i ≡ -s/t modulo s + ti.
+    mod p is a square root of -1, and Cornacchia's descent on (p, r) gives
+    s + ti with s ≡ rt (mod p), the one that divides, since i ≡ -s/t modulo
+    s + ti.  Its t may be negative: none of these is made canonical here.
     """
     kind = a.kind
     if p == 2:
@@ -99,13 +92,10 @@ def _gaussian_primes(a: Element, p: int, canonical: bool = False) -> tuple[Eleme
         return (_mk(kind, p, 0),)
     x, y = a.x, a.y
     if x % p or y % p:
-        r = x * pow(y, -1, p) % p
-        s, t = _two_squares_from_root(p, r)
-        if (s - r * t) % p:
-            t = -t
-        return (_mk(kind, -t, s) if canonical and t < 0 else _mk(kind, s, t),)
+        s, t = _cornacchia(p, x * pow(y, -1, p) % p)
+        return (_mk(kind, s, t),)
     s, t = sum_two_squares(p)
-    return _mk(kind, s, t), (_mk(kind, t, s) if canonical else _mk(kind, s, -t))
+    return _mk(kind, s, t), _mk(kind, s, -t)
 
 
 def _from_diagonal(u: int, v: int) -> Element:
@@ -219,7 +209,8 @@ def _factor_elliptic(a: Element) -> tuple[Element, list[Element]]:
         copies = e // 2 if p % 4 == 3 else e  # p ≡ 3 (mod 4) has norm p²
         # a prime over p that does not divide rest does not divide its cofactors either,
         # so each is peeled while it divides, the first one first
-        for c in _gaussian_primes(a, p, canonical=True):
+        for prime in _gaussian_primes(a, p):
+            c = prime.canonical_associate()[0]
             while copies and (q := divides(c, rest)) is not None:
                 factors.append(c)
                 rest = q

@@ -1,14 +1,19 @@
 """Plain-integer routines that the ring algorithms rest on.
 
 Primality, factorization, gcd and the sum/difference-of-two-squares
-representations of ordinary integers.  Nothing here knows about the rings;
-:mod:`planeint.classification` and :mod:`planeint.factorization` both build on it.
+representations of ordinary integers; no ring element is built here.  The
+one routine shared with the rings, Cornacchia's descent, lives in
+:mod:`planeint.core`, since :mod:`planeint.euclid` runs it too and may not
+import this module.  :mod:`planeint.classification` and
+:mod:`planeint.factorization` both build on it.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from math import gcd, isqrt, prod
+
+from .core import _cornacchia
 
 # Below this, primality and factoring are table lookups in _FACTOR_OF; above
 # it, Miller–Rabin, a small-prime gcd and Pollard–Brent rho take over.
@@ -325,27 +330,14 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _two_squares_from_root(p: int, r: int) -> tuple[int, int]:
-    """``(s, t)`` with ``p = s² + t²`` and ``s > t > 0``, from a square root r of -1 mod the prime p ≡ 1 (mod 4).
-
-    Cornacchia's descent (Hermite–Serret, Brillhart 1972): the Euclidean
-    algorithm on (p, r) reaches s at its first remainder below √p, and t is
-    the next remainder.  Either root of -1 gives the same pair, since
-    p = s² + t² with s > t > 0 is unique.  O(log p) steps.
-    """
-    a, b = p, r
-    while b * b > p:
-        a, b = b, a % b
-    return b, a % b
-
-
 def sum_two_squares(p: int) -> tuple[int, int] | None:
     """``(a, b)`` with ``p = a² + b²`` and ``a >= b > 0`` for a prime p, or None (exactly when p ≡ 3 mod 4).
 
     x = t^((p-1)/4) for a quadratic non-residue t is a square root of -1
-    mod p, and Cornacchia's descent on (p, x), which
-    :mod:`planeint.factorization` shares to read a Gaussian prime from the
-    element it divides, gives the pair.
+    mod p, and Cornacchia's descent on (p, x), the one
+    :mod:`planeint.euclid` and :mod:`planeint.factorization` also run, gives
+    the pair as (s, |t|): p = s² + t² with s > |t| > 0 is unique, so either
+    root of -1 gives it.
 
     Cost model: one primality test of p, then one modular power per
     candidate t, which is x itself: t is a non-residue exactly when
@@ -367,7 +359,8 @@ def sum_two_squares(p: int) -> tuple[int, int] | None:
         t = 3
         while (x := pow(t, q, p)) * x % p != p - 1:
             t += 2
-    return _two_squares_from_root(p, x)
+    s, t = _cornacchia(p, x)
+    return s, abs(t)
 
 
 def two_adic_valuation(n: int) -> int:

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from planeint import (
     div_rem,
     divides,
     elliptic,
+    euclid,
     factor,
     from_diagonal_coords,
     hyperbolic,
@@ -28,6 +30,8 @@ from planeint import (
     parabolic,
     split,
 )
+from planeint.core import _cornacchia
+from planeint.euclid import EuclidInvariantError
 
 H, K, C = hyperbolic, parabolic, elliptic
 
@@ -497,3 +501,49 @@ class TestDiagonalCoords:
             diagonal_coords(C(1, 1))
         with pytest.raises(ValueError):
             from_diagonal_coords(1, 2)
+
+
+class TestCornacchia:
+    """The one descent, against a scan of every representation n = x² + y² with n <= 5,000."""
+
+    N = 5000
+
+    @staticmethod
+    def _representations(limit):
+        reps = {}
+        bound = isqrt(limit)
+        for x in range(-bound, bound + 1):
+            for y in range(-bound, bound + 1):
+                n = x * x + y * y
+                if 2 <= n <= limit and gcd(x, y) == 1:
+                    reps.setdefault(n, []).append((x, y))
+        return reps
+
+    def test_every_root_of_minus_one_against_a_scan(self):
+        reps = self._representations(self.N)
+        checked = 0
+        for n in range(2, self.N + 1):
+            roots = [c for c in range(n) if c * c % n == n - 1]
+            # -1 is a square mod n exactly when n is a sum of two coprime squares
+            assert bool(roots) == (n in reps), n
+            for c in roots:
+                # the associates of the one generator of {x ≡ c·y (mod n)} of norm n;
+                # the descent returns the one of largest x, the greater y breaking n = 2's tie
+                want = max((x, y) for x, y in reps[n] if (x - c * y) % n == 0)
+                assert _cornacchia(n, c) == want, (n, c)
+                checked += 1
+        assert checked == 2375  # 845 values of n
+        assert _cornacchia(2, 1) == (1, 1)  # Euclid's next remainder there is 0
+
+    def test_a_non_root_comes_back_as_a_pair_that_is_no_representation(self):
+        # 1 is no root of -1 mod 13: the pair shows it, for the caller's check to refuse
+        s, t = _cornacchia(13, 1)
+        assert s * s + t * t != 13
+
+    def test_decompose_refuses_a_non_root(self, monkeypatch):
+        # (3 + 2i) has index 13 and (1, 8), (0, 13) as its basis in the coordinates (y, x);
+        # a fold that returned c = 1 must end in the descent's check
+        assert euclid._hermite(13, 13, [(2, 3), (3, -2)]) == (1, 8, 13)
+        monkeypatch.setattr(euclid, "_hermite", lambda f, d, rows: (1, 1, 13))
+        with pytest.raises(EuclidInvariantError, match="non-square"):
+            decompose(FGIdeal.of(C(3, 2)))

@@ -12,6 +12,7 @@ import planeint
 from _ideal_oracles import (
     combination_points,
     gaussian_descent_alpha,
+    hnf_basis,
     ideal_lattice,
     lattice_contains,
     parabolic_descent,
@@ -352,6 +353,40 @@ class TestReducedClosedForms:
         assert gcd(*_all_minors(pts)[:-2]) == 45
         assert euclid._gaussian_alpha([C(*p) for p in pts]) == (C(3, 0), 9)
         assert decompose(FGIdeal.of(*(C(*p) for p in pts))).alpha == C(3, 0)
+
+
+class TestSharedFold:
+    """One Hermite fold serves the Gaussian and the parabolic closed forms."""
+
+    @given(
+        st.lists(st.tuples(*[st.integers(-(2**256), 2**256)] * 2).filter(any), min_size=1, max_size=4),
+        st.tuples(*[st.integers(-(2**128), 2**128)] * 2).filter(any),
+        st.booleans(),
+    )
+    def test_gaussian_rows_give_one_and_the_root(self, pts, common, shared):
+        # a shared factor gives the primitive part a large, often composite norm n
+        gens = [C(*p) * C(*common) if shared else C(*p) for p in pts]
+        xys = [(z.x, z.y) for z in gens]
+        g = gcd(*(c for xy in xys for c in xy))
+        n = gcd(*_all_minors(xys)) // (g * g)
+        # (β) in the coordinates (y, x): the rows of each gᵢ/g and i·gᵢ/g
+        rows = [row for x, y in xys for row in ((y // g, x // g), (x // g, -y // g))]
+        one, c, d = euclid._hermite(n, n, rows)
+        assert (one, c, d) == hnf_basis(rows + [(n, 0), (0, n)])
+        assert (one, d) == (1, n) and (c * c + 1) % n == 0
+
+    @given(
+        st.lists(st.tuples(st.integers(-(2**64), 2**64), st.integers(-(2**64), 2**64)), min_size=1, max_size=4),
+        st.integers(-(2**64), 2**64),
+    )
+    def test_parabolic_rows_with_a_one_stop_at_the_first(self, rows, y):
+        # an x = 1 generator makes a = 1, so the fold starts at f = 1 and stops at its first row
+        rows = [(1, y), *rows]
+        gens = [K(x, y) for x, y in rows if (x, y) != (0, 0)]
+        assert euclid._parabolic_basis(gens) == ideal_lattice(gens) == (1, 0, 1)
+        unread = iter(rows)
+        assert euclid._hermite(1, 1, unread) == (1, 0, 1)
+        assert list(unread) == rows[1:]
 
 
 def _least_on_line(basis, sign):
