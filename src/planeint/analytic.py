@@ -20,7 +20,7 @@ import math
 import sys
 from collections.abc import Callable
 
-from .core import _ELLIPTIC, _HYPERBOLIC, RingError, RingKind, _Record
+from .core import _ELLIPTIC, _HYPERBOLIC, KindMismatchError, RingError, RingKind, _Record
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -63,7 +63,7 @@ class RealElement(_Record):
 
     def _check(self, other: RealElement) -> None:
         if self.kind is not other.kind:
-            raise RingError("mixed rings")
+            raise KindMismatchError(f"cannot combine {self.kind.name} with {other.kind.name}")
 
     @property
     def eta(self) -> float:

@@ -47,9 +47,14 @@ class AmbiguousRingError(ElementParseError):
     pass
 
 
-_RE_REAL = re.compile(r"\s*([+-]?\d+)\s*")
-_RE_FULL = re.compile(r"\s*([+-]?\d+)\s*([+-])\s*(\d*)\s*([ijk])\s*")
-_RE_IMAG = re.compile(r"\s*([+-]?)\s*(\d*)\s*([ijk])\s*")
+# x + θy in one of two forms: an integer x with an optional signed θ term
+# (3-1j, 2+k, a bare 7), or a θ term alone with its sign in front (5i, -j, k).
+# Blanks may stand around each part (' 3 - 1 j ' parses) but not inside x,
+# whose sign keeps to its digits; a θ term after x needs its sign (3 5i is refused)
+_RE_ELEMENT = re.compile(
+    r"\s*(?:([+-]?\d+)\s*(?:([+-])\s*(\d*)\s*([ijk]))?"  # x, sign, coefficient, θ
+    r"|([+-]?)\s*(\d*)\s*([ijk]))\s*"  # sign, coefficient, θ
+)
 
 
 def parse_element(text: str, ring_hint: RingKind | None = None, hint_from: str | None = None) -> Element:
@@ -57,31 +62,28 @@ def parse_element(text: str, ring_hint: RingKind | None = None, hint_from: str |
 
     ``hint_from`` is the operand whose ring the hint is; None means --ring.
     """
-    m = _RE_FULL.fullmatch(text)
-    if m:
-        x = _int(m.group(1))
-        coef = _int(m.group(3)) if m.group(3) else 1
-        y = coef if m.group(2) == "+" else -coef
-        kind = RingKind.from_symbol(m.group(4))
-        return _with_hint(Element(kind, x, y), ring_hint, hint_from, text)
-    m = _RE_IMAG.fullmatch(text)
-    if m:
-        coef = _int(m.group(2)) if m.group(2) else 1
-        y = -coef if m.group(1) == "-" else coef
-        kind = RingKind.from_symbol(m.group(3))
-        return _with_hint(Element(kind, 0, y), ring_hint, hint_from, text)
-    m = _RE_REAL.fullmatch(text)
-    if m:
-        if ring_hint is None:
-            raise AmbiguousRingError(
-                f"{text!r} is a bare integer; pass --ring i|j|k to pick its ring"
-            )
-        return Element(ring_hint, _int(m.group(1)), 0)
-    pos = next(
-        (idx for idx, ch in enumerate(text) if ch not in "0123456789+-ijk \t"),
-        len(text),
-    )
-    raise ElementParseError(f"cannot parse element {text!r} (at position {pos})", pos)
+    m = _RE_ELEMENT.fullmatch(text)
+    if m is None:
+        pos = next(
+            (idx for idx, ch in enumerate(text) if ch not in "0123456789+-ijk \t"),
+            len(text),
+        )
+        raise ElementParseError(f"cannot parse element {text!r} (at position {pos})", pos)
+    x, sign, coef, symbol = m.group(1, 2, 3, 4) if m[1] else ("0", *m.group(5, 6, 7))
+    if symbol is None and ring_hint is None:
+        raise AmbiguousRingError(
+            f"{text!r} is a bare integer; pass --ring i|j|k to pick its ring"
+        )
+    kind = RingKind.from_symbol(symbol) if symbol else ring_hint
+    x = _int(x)
+    y = _int(coef or "1") if symbol else 0
+    if ring_hint is not None and ring_hint is not kind:
+        if hint_from is None:
+            given = f"--ring {ring_hint.symbol} was given"
+        else:
+            given = f"{hint_from!r} names ring {ring_hint.symbol}"
+        raise ElementParseError(f"{text!r} names ring {kind.symbol} but {given}")
+    return Element(kind, x, -y if sign == "-" else y)
 
 
 # main lifts the interpreter's int/str digit limit (Python 3.10.7 and later),
@@ -101,16 +103,6 @@ def _int(digits: str) -> int:
     if limit and len(digits.lstrip("+-")) > limit:  # the regex admits only a sign and digits
         raise ElementParseError(f"a coordinate has more than {limit} digits")
     return int(digits)
-
-
-def _with_hint(z: Element, hint: RingKind | None, hint_from: str | None, text: str) -> Element:
-    if hint is not None and hint is not z.kind:
-        if hint_from is None:
-            given = f"--ring {hint.symbol} was given"
-        else:
-            given = f"{hint_from!r} names ring {hint.symbol}"
-        raise ElementParseError(f"{text!r} names ring {z.kind.symbol} but {given}")
-    return z
 
 
 # -- rendering ----------------------------------------------------------------

@@ -216,7 +216,7 @@ def _parabolic_basis(gens: list[Element]) -> tuple[int, int, int]:
 def _gaussian_alpha(gens: list[Element]) -> tuple[Element, int]:
     """A Gaussian ideal's canonical α and index D, in closed form (see :func:`decompose`)."""
     pts = [(z.x, z.y) for z in gens]
-    g = gcd(*(c for xy in pts for c in xy))
+    g = gcd(*[c for xy in pts for c in xy])
     g2 = g * g
     index = _index(pts, g2)
     n = index // g2
@@ -325,8 +325,8 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
 
     if kind is _HYPERBOLIC:
         uvs = [(g.x + g.y, g.x - g.y) for g in gens]
-        p = gcd(*(u for u, _ in uvs))
-        q = gcd(*(v for _, v in uvs))
+        p = gcd(*[u for u, _ in uvs])
+        q = gcd(*[v for _, v in uvs])
         if not (p and q):
             return IdealDecomposition(kind, None, p // 2, q // 2, 0)
         k = 2 if all((u // p - v // q) % 2 == 0 for u, v in uvs) else 1

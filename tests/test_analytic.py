@@ -73,6 +73,7 @@ class TestExp:
 class TestPolar:
     def test_example(self):
         p = polar_decompose(RealElement(H, 5.0, 3.0))
+        assert RealElement(H, 5.0, 3.0).eta == 16.0
         assert floats_close(p.r, 4.0)
         assert floats_close(p.alpha, math.atanh(0.6))
         back = p.element()

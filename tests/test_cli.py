@@ -1,7 +1,9 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -14,6 +16,37 @@ from planeint import Element, RingKind, elliptic, format_element, hyperbolic, pa
 from planeint.cli import AmbiguousRingError, ElementParseError, _ring_arg, build_parser, main, parse_element
 
 H, K, C = hyperbolic, parabolic, elliptic
+
+# the element grammar as three patterns tried in turn, the referee of parse_element's one pattern
+_REF_FULL = re.compile(r"\s*([+-]?\d+)\s*([+-])\s*(\d*)\s*([ijk])\s*")
+_REF_IMAG = re.compile(r"\s*([+-]?)\s*(\d*)\s*([ijk])\s*")
+_REF_REAL = re.compile(r"\s*([+-]?\d+)\s*")
+
+
+def _referee(text, hint, hint_from):
+    """(kind, x, y) of text, or the (exception type, message, position) that parse_element raises."""
+
+    def hinted(kind, x, y):
+        if hint is None or hint is kind:
+            return kind, x, y
+        given = f"--ring {hint.symbol} was given" if hint_from is None else f"{hint_from!r} names ring {hint.symbol}"
+        return ElementParseError, f"{text!r} names ring {kind.symbol} but {given}", 0
+
+    m = _REF_FULL.fullmatch(text)
+    if m:
+        coef = int(m[3]) if m[3] else 1
+        return hinted(RingKind(m[4]), int(m[1]), coef if m[2] == "+" else -coef)
+    m = _REF_IMAG.fullmatch(text)
+    if m:
+        coef = int(m[2]) if m[2] else 1
+        return hinted(RingKind(m[3]), 0, -coef if m[1] == "-" else coef)
+    m = _REF_REAL.fullmatch(text)
+    if m:
+        if hint is None:
+            return AmbiguousRingError, f"{text!r} is a bare integer; pass --ring i|j|k to pick its ring", 0
+        return hint, int(m[1]), 0
+    pos = next((idx for idx, ch in enumerate(text) if ch not in "0123456789+-ijk \t"), len(text))
+    return ElementParseError, f"cannot parse element {text!r} (at position {pos})", pos
 
 
 class TestParseElement:
@@ -57,6 +90,21 @@ class TestParseElement:
         assert format_element(parse_element("3 - 1j")) == "3-1j"
         assert format_element(parse_element("+2+1k")) == "2+1k"
         assert format_element(parse_element("7", RingKind.PARABOLIC)) == "7+0k"
+
+    def test_one_pattern_agrees_with_the_three_forms(self):
+        # every string of length <= 4 over the grammar's characters, a blank, a tab and a
+        # refused letter, under no hint and under each ring given by --ring or by an operand
+        hints = [(None, None)] + [(kind, given) for given in (None, "2+1j") for kind in RingKind]
+        texts = ["".join(chars) for n in range(5) for chars in itertools.product("017+-ijk q\t", repeat=n)]
+        assert len(texts) == 16_105
+        for text in texts:
+            for hint, hint_from in hints:
+                try:
+                    z = parse_element(text, hint, hint_from)
+                    got = z.kind, z.x, z.y
+                except ElementParseError as exc:
+                    got = type(exc), str(exc), exc.position
+                assert got == _referee(text, hint, hint_from), (text, hint, hint_from)
 
 
 def run(capsys, *argv):
@@ -275,6 +323,15 @@ class TestOverLongLiteral:
         ]:
             with pytest.raises(ElementParseError, match=f"more than {limit} digits"):
                 parse_element(text, hint)
+
+    def test_checks_come_in_order(self):
+        # a bare integer's missing ring before its digits; a coordinate's digits before a ring mismatch
+        big = "7" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(AmbiguousRingError):
+            parse_element(big)
+        for text, hint, hint_from in [(f"{big}+1i", RingKind.HYPERBOLIC, None), (f"-{big}k", RingKind.ELLIPTIC, "2+1i")]:
+            with pytest.raises(ElementParseError, match="digits"):
+                parse_element(text, hint, hint_from)
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_cli_exits_2(self, capsys, flags):

@@ -12,6 +12,7 @@ from planeint import (
     KindMismatchError,
     NotInvertibleError,
     FGIdeal,
+    RealElement,
     RingKind,
     WrongRingError,
     decompose,
@@ -27,8 +28,10 @@ from planeint import (
     lex_less,
     norm_data,
     normalize_associate,
+    one,
     parabolic,
     split,
+    zero,
 )
 from planeint.core import _cornacchia
 from planeint.euclid import EuclidInvariantError
@@ -52,22 +55,30 @@ class TestArithmetic:
         assert H(1, 1) + H(1, -1) == H(2, 0)
         assert K(0, 1) + K(0, 0) == K(0, 1)
         assert C(3, 2) + C(-3, -2) == C(0, 0)
+        assert zero(RingKind.HYPERBOLIC) + H(2, 5) == H(2, 5)
 
     def test_mul(self):
         assert H(1, 1) * H(1, -1) == H(0, 0)
         assert K(2, 1) * K(2, -1) == K(4, 0)
         assert C(1, 1) * C(1, -1) == C(2, 0)
+        assert one(RingKind.PARABOLIC) * K(2, 5) == K(2, 5)
 
     def test_int_coercion(self):
         assert H(3, 1) * 2 == H(6, 2)
         assert 2 + K(1, 1) == K(3, 1)
         assert 1 - C(0, 1) == C(1, -1)
+        # a float is no ring element: each operator returns NotImplemented, so Python raises TypeError
+        for op in (lambda z: z + 0.5, lambda z: z - 0.5, lambda z: z * 0.5, lambda z: 0.5 - z):
+            with pytest.raises(TypeError):
+                op(H(3, 1))
 
     def test_kind_mismatch(self):
         with pytest.raises(KindMismatchError):
             H(1, 0) + K(1, 0)
         with pytest.raises(KindMismatchError):
             C(1, 0) * H(1, 0)
+        with pytest.raises(KindMismatchError, match="^cannot combine HYPERBOLIC with PARABOLIC$"):
+            RealElement(RingKind.HYPERBOLIC, 1.0, 0.0) + RealElement(RingKind.PARABOLIC, 1.0, 0.0)
 
     def test_pow(self):
         assert H(1, 1) ** 2 == H(2, 2)
@@ -88,12 +99,15 @@ class TestNormTraceInner:
         assert norm_data(K(5, 9)) == (25, 25, 10)
         assert norm_data(C(1, 1)) == (2, 2, 2)
         assert norm_data(H(1, 2)) == (-3, 3, 2)
+        assert H(3, 1).trace == C(3, 1).trace == 6
 
     def test_inner_product(self):
         # the form whose quadratic is the norm: <z,z> = eta(z)
         assert inner_product(H(1, 1), H(1, -1)) == 2
         assert inner_product(K(3, 9), K(2, 5)) == 6
         assert inner_product(C(1, 2), C(3, 4)) == 11
+        with pytest.raises(TypeError):
+            H(1, 1).inner(3)
 
     @given(same_kind_pair())
     def test_inner_is_re_z_conj_w(self, pair):
@@ -209,6 +223,8 @@ class TestLexOrder:
     def test_wrong_ring(self):
         with pytest.raises(WrongRingError):
             lex_less(H(0, 0), H(1, 0))
+        with pytest.raises(WrongRingError):
+            RingKind.from_symbol("x")
 
     @given(st.integers(-99, 99), st.integers(-99, 99), st.integers(-99, 99), st.integers(-99, 99))
     def test_total_order(self, x1, y1, x2, y2):

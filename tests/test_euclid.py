@@ -300,6 +300,8 @@ class TestDecompose:
     def test_validation(self):
         with pytest.raises(ValueError):
             FGIdeal(RingKind.HYPERBOLIC, ())
+        with pytest.raises(ValueError):
+            FGIdeal.of()
         with pytest.raises(KindMismatchError):
             FGIdeal(RingKind.HYPERBOLIC, (K(1, 0),))
         with pytest.raises(KindMismatchError):
