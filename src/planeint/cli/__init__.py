@@ -50,10 +50,14 @@ class AmbiguousRingError(ElementParseError):
 # x + θy in one of two forms: an integer x with an optional signed θ term
 # (3-1j, 2+k, a bare 7), or a θ term alone with its sign in front (5i, -j, k).
 # Blanks may stand around each part (' 3 - 1 j ' parses) but not inside x,
-# whose sign keeps to its digits; a θ term after x needs its sign (3 5i is refused)
+# whose sign keeps to its digits; a θ term after x needs its sign (3 5i is refused).
+# Each blank run follows the token it belongs to, so no two runs touch and a
+# failed match backtracks in linear time.  This pattern is the front's only
+# statement of the syntax: it also blames a refused literal and tells argparse
+# which dash tokens are operands
 _RE_ELEMENT = re.compile(
-    r"\s*(?:([+-]?\d+)\s*(?:([+-])\s*(\d*)\s*([ijk]))?"  # x, sign, coefficient, θ
-    r"|([+-]?)\s*(\d*)\s*([ijk]))\s*"  # sign, coefficient, θ
+    r"\s*(?:([+-]?\d+)(?:\s*([+-])\s*(?:(\d+)\s*)?([ijk]))?"  # x, sign, coefficient, θ
+    r"|(?:([+-])\s*)?(?:(\d+)\s*)?([ijk]))\s*"  # sign, coefficient, θ
 )
 
 
@@ -64,10 +68,13 @@ def parse_element(text: str, ring_hint: RingKind | None = None, hint_from: str |
     """
     m = _RE_ELEMENT.fullmatch(text)
     if m is None:
-        pos = next(
-            (idx for idx, ch in enumerate(text) if ch not in "0123456789+-ijk \t"),
-            len(text),
-        )
+        from bisect import bisect
+
+        # blame the end of the longest prefix that begins a literal, which is one that is a
+        # literal as it stands or with an i appended; such prefixes are closed under taking
+        # prefixes, so a bisection over their lengths finds it
+        pos = bisect(range(1, len(text) + 1), False, key=lambda n: not (
+            _RE_ELEMENT.fullmatch(text[:n] + "i") or _RE_ELEMENT.fullmatch(text[:n])))
         raise ElementParseError(f"cannot parse element {text!r} (at position {pos})", pos)
     x, sign, coef, symbol = m.group(1, 2, 3, 4) if m[1] else ("0", *m.group(5, 6, 7))
     if symbol is None and ring_hint is None:
@@ -159,12 +166,15 @@ def _check_bound(value: int, least: int, maximum: int, name: str, what: str = "b
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Accept leading-minus literals (-2+0k, -3/4, -15, -j) as positionals."""
+    """Read a dash token that starts with an element literal (-2+0k, -15, -j, so also -3/4 and -jx) as an operand.
+
+    argparse asks ``_negative_number_matcher.match`` only of a token that
+    names no option, so -h, --json, --color and --ring stay options.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a minus, then a digit or a lone unit letter: -h and --json stay options
-        self._negative_number_matcher = re.compile(r"^-(\d|[ijk]$)")
+        self._negative_number_matcher = _RE_ELEMENT
 
 
 def _arg(*flags: str, **options: object) -> tuple[tuple[str, ...], dict]:

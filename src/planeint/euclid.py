@@ -342,7 +342,7 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
         for g in gens:
             if g.x % a:
                 raise EuclidInvariantError(f"{a} does not divide x of {g}: α = {alpha} was not minimal")
-        if gcd(a, *(g.y - b * (g.x // a) for g in gens)) != d:
+        if gcd(a, *[g.y - b * (g.x // a) for g in gens]) != d:
             raise EuclidInvariantError(f"axis generator {d} is not gcd({a}, yᵢ − {b}·xᵢ/{a})")
         return IdealDecomposition(kind, alpha, 0, 0, d)
 

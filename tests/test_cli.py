@@ -1,9 +1,12 @@
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -24,7 +27,10 @@ _REF_REAL = re.compile(r"\s*([+-]?\d+)\s*")
 
 
 def _referee(text, hint, hint_from):
-    """(kind, x, y) of text, or the (exception type, message, position) that parse_element raises."""
+    """(kind, x, y) of text, or the (exception type, message, position) that parse_element raises.
+
+    A refused text is blamed at the end of its longest prefix that begins a literal.
+    """
 
     def hinted(kind, x, y):
         if hint is None or hint is kind:
@@ -45,8 +51,18 @@ def _referee(text, hint, hint_from):
         if hint is None:
             return AmbiguousRingError, f"{text!r} is a bare integer; pass --ring i|j|k to pick its ring", 0
         return hint, int(m[1]), 0
-    pos = next((idx for idx, ch in enumerate(text) if ch not in "0123456789+-ijk \t"), len(text))
+    pos = max(n for n in range(len(text) + 1) if _begins_literal(text[:n]))
     return ElementParseError, f"cannot parse element {text!r} (at position {pos})", pos
+
+
+# the completions of at most 2 characters over 1+i
+_COMPLETIONS = ["".join(chars) for n in range(3) for chars in itertools.product("1+i", repeat=n)]
+
+
+@functools.cache
+def _begins_literal(prefix):
+    """Whether some completion turns prefix into a literal of one of the three forms."""
+    return any(ref.fullmatch(prefix + tail) for ref in (_REF_FULL, _REF_IMAG, _REF_REAL) for tail in _COMPLETIONS)
 
 
 class TestParseElement:
@@ -70,9 +86,29 @@ class TestParseElement:
             parse_element("3-1j", RingKind.PARABOLIC)
 
     def test_parse_error_carries_position(self):
-        with pytest.raises(ElementParseError) as info:
-            parse_element("3-1q")
-        assert info.value.position == 3
+        # the end of the longest prefix that begins a literal: a blank is no fault, nor is
+        # any character the pattern admits, and a wrong order is blamed where it starts
+        for text, position in [("3-1q", 3), ("3 5i", 2), ("- 5+1i", 3), ("3\n5i", 2), ("++", 1),
+                               ("3\xa0-\xa01q", 5), ("\u0663+1q", 3)]:
+            with pytest.raises(ElementParseError) as info:
+                parse_element(text)
+            assert info.value.position == position, text
+
+    def test_long_blank_runs_are_refused_at_once(self):
+        # blank runs that touch backtrack as n³ on a refusal; a child under a timeout
+        # fails, rather than hangs, if the pattern does that again
+        code = (
+            "from planeint.cli import ElementParseError, parse_element\n"
+            "for text in (' ' * 100_000 + 'q', '1' + ' ' * 100_000 + 'q', '3-' + ' ' * 100_000 + 'q'):\n"
+            "    try:\n"
+            "        parse_element(text)\n"
+            "    except ElementParseError as exc:\n"
+            "        print(exc.position)\n"
+        )
+        src = str(Path(parse_element.__code__.co_filename).resolve().parents[2])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "100000\n100001\n100002\n", "")
 
     def test_format_parse_roundtrip(self):
         for kind in RingKind:
@@ -230,6 +266,8 @@ class TestCommands:
         assert (rc, out, err) == (1, "", "error: units cannot be factored\n")
         rc, out, _ = run(capsys, "--json", "norm", "-k")
         assert rc == 0 and json.loads(out)["element"] == {"ring": "k", "x": "0", "y": "-1", "text": "-1k"}
+        rc, out, _ = run(capsys, "--color", "classify", "-j")
+        assert rc == 0 and "unit           \x1b[32myes\x1b[0m" in out
         with pytest.raises(SystemExit) as info:
             run(capsys, "classify", "-h")
         assert info.value.code == 0 and "usage: planeint classify" in capsys.readouterr().out
@@ -436,6 +474,11 @@ class TestGoldenOutput:
                 "",
             ),
             ("classify wat", 2, "", "error: cannot parse element 'wat' (at position 0)\n"),
+            # a dash token that begins a literal is an operand, refused where the literal stops
+            *((f"norm {token}", 2, "", f"error: cannot parse element {token!r} (at position 2)\n")
+              for token in ("-jx", "-k5", "-i2")),
+            # -inf is an operand, as inf is
+            *((f"exp {x} 0 --ring j", 1, "", "error: coordinates must be finite\n") for x in ("inf", "-inf")),
             ("classify 7", 2, "", "error: '7' is a bare integer; pass --ring i|j|k to pick its ring\n"),
             ("factor 3+3j", 1, "", "error: hyperbolic zero divisors have no irreducible factorization\n"),
             ("table --ring j --bound 5000", 1, "", "error: bound too large (maximum 100)\n"),
