@@ -256,7 +256,13 @@ def main(argv: list[str] | None = None) -> int:
     global _entry_limit
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    parser = build_parser(argv)
+    args = parser.parse_args(argv)
+    # after a second "--", argparse (3.10 to 3.13) gives the positional it consumed
+    # an empty list in place of a string: that operand was not given
+    missing = [name for name, value in vars(args).items() if value == []]
+    if missing:
+        parser.error(f"the following arguments are required: {', '.join(missing)}")
     _entry_limit = limit = _get_digit_limit()
     _set_digit_limit(0)
     try:

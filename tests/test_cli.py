@@ -1,6 +1,5 @@
 import contextlib
 import functools
-import hashlib
 import io
 import itertools
 import json
@@ -15,10 +14,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _cli_golden import BENCHMARK_ROWS, ROWS, check
 from planeint import Element, RingKind, elliptic, format_element, hyperbolic, parabolic
 from planeint.cli import AmbiguousRingError, ElementParseError, _ring_arg, build_parser, main, parse_element
 
 H, K, C = hyperbolic, parabolic, elliptic
+
+# a child's environment: this checkout's src on PYTHONPATH
+SRC = str(Path(main.__code__.co_filename).resolve().parents[2])
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
 
 # the element grammar as three patterns tried in turn, the referee of parse_element's one pattern
 _REF_FULL = re.compile(r"\s*([+-]?\d+)\s*([+-])\s*(\d*)\s*([ijk])\s*")
@@ -105,9 +109,7 @@ class TestParseElement:
             "    except ElementParseError as exc:\n"
             "        print(exc.position)\n"
         )
-        src = str(Path(parse_element.__code__.co_filename).resolve().parents[2])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+        proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=30)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "100000\n100001\n100002\n", "")
 
     def test_format_parse_roundtrip(self):
@@ -442,112 +444,34 @@ class TestLongLiteralNorms:
             sys.set_int_max_str_digits(limit)
 
 
-CLI_EXPECTED = json.loads(
-    (Path(__file__).resolve().parent.parent / "perfbench" / "cli_expected.json").read_text()
-)
-
-
 class TestGoldenOutput:
-    """Output bytes: the benchmark's pinned stdout digests, plus exact text for a few argv."""
+    """Every row of the CLI's golden table, run through ``main()`` as the ``planeint`` console script runs it."""
 
-    @pytest.mark.parametrize("argv, digest", sorted(CLI_EXPECTED.items()))
-    def test_benchmark_digest(self, capsys, argv, digest):
-        rc, out, err = run(capsys, *argv.split())
-        assert (rc, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    @staticmethod
+    def run(monkeypatch, capsys, argv):
+        monkeypatch.setattr(sys, "argv", ["planeint", *argv])
+        try:
+            rc = main()
+        except SystemExit as exc:  # argparse: --help, or a usage error
+            rc = exc.code
+        return rc, *capsys.readouterr()
 
-    @pytest.mark.parametrize(
-        "argv, rc, out, err",
-        [
-            (
-                "--color classify 7+2i",
-                0,
-                "element        7+2i\n"
-                "eta            53   (eta_plus 53)\n"
-                "zero           \x1b[31mno\x1b[0m\n"
-                "unit           \x1b[31mno\x1b[0m\n"
-                "zero divisor   \x1b[31mno\x1b[0m\n"
-                "prime          \x1b[32myes\x1b[0m\n"
-                "irreducible    \x1b[32myes\x1b[0m\n"
-                "reducible      \x1b[31mno\x1b[0m\n"
-                "canonical      7+2i  (unit 1+0i)\n",
-                "",
-            ),
-            ("classify wat", 2, "", "error: cannot parse element 'wat' (at position 0)\n"),
-            # a dash token that begins a literal is an operand, refused where the literal stops
-            *((f"norm {token}", 2, "", f"error: cannot parse element {token!r} (at position 2)\n")
-              for token in ("-jx", "-k5", "-i2")),
-            # -inf is an operand, as inf is
-            *((f"exp {x} 0 --ring j", 1, "", "error: coordinates must be finite\n") for x in ("inf", "-inf")),
-            ("classify 7", 2, "", "error: '7' is a bare integer; pass --ring i|j|k to pick its ring\n"),
-            ("factor 3+3j", 1, "", "error: hyperbolic zero divisors have no irreducible factorization\n"),
-            ("table --ring j --bound 5000", 1, "", "error: bound too large (maximum 100)\n"),
-            ("table --ring j --bound -3", 1, "", "error: bound must be >= 0\n"),
-            ("oracle prime 3+2i --box -5", 1, "", "error: box must be >= 0\n"),
-            ("oracle prime 3+2i --box 0", 0, "verdict  no_counterexample_found\n", ""),
-            ("dts 0", 1, "", "error: n_max must be >= 1\n"),
-            ("oracle divisors 100001k", 1, "", "error: coordinate too large (maximum 100000)\n"),
-            ("oracle irreducible 5-100001i", 1, "", "error: coordinate too large (maximum 100000)\n"),
-            ("--json oracle divisors -100001+2j", 1, "", "error: coordinate too large (maximum 100000)\n"),
-            ("pow 1 1 2 --ring j", 1, "", "error: 1.0+1.0j is outside the sector eta > 0, x > 0\n"),
-            # x > |y|, though x² - y² underflows to 0
-            ("pow 1e-200 0 1 --ring j", 0, "(1e-200 + 0.0j)^1 = 1e-200 + 0.0j\n", ""),
-            # finite results that cosh and sinh, or e^x, cannot reach; the exact sums 528 + 496j
-            ("exp --ring j -- -800 800", 0, "exp(-800.0 + 800.0j) = 0.5 + 0.5j\n", ""),
-            (
-                "pow --ring j 0.5 0.49 400",
-                0,
-                "(0.5 + 0.49j)^400 = 0.00897527663752257 + 0.00897527663752257j\n",
-                "",
-            ),
-            ("pow --ring j 3 1 5", 0, "(3.0 + 1.0j)^5 = 528.0 + 496.0j\n", ""),
-            # a parabolic α does not depend on the order of the generators
-            *(
-                (argv, 0, "alpha       2+0k\ndiag + gen  0\ndiag - gen  0\naxis gen    1\n", "")
-                for argv in ("ideal -- -2-2k -2-1k", "ideal -- -2-1k -2-2k")
-            ),
-            # a = gcd(12, 18) = 6, so the parabolic fold runs modulo a² = 36 and a
-            ("ideal 12+4k 18+2k", 0, "alpha       6+0k\ndiag + gen  0\ndiag - gen  0\naxis gen    2\n", ""),
-            # index 5 over content 1: n = 5, and Cornacchia's descent gives 2+1i
-            ("ideal 5+0i 3+4i", 0, "alpha       2+1i\ndiag + gen  0\ndiag - gen  0\naxis gen    0\n", ""),
-            # a result past the float range: from float **, math.exp, a product of finite
-            # floats, and one that would have been blamed on the input
-            *(
-                (
-                    argv,
-                    1,
-                    "",
-                    "error: result out of float range: |x| and |y| must be at most 1.798e+308\n",
-                )
-                for argv in (
-                    "pow 2 1 2000 --ring j",
-                    "exp 800 1 --ring j",
-                    "--json exp 700 700 --ring j",
-                    "exp 1 1e308 --ring k",
-                )
-            ),
-            (
-                "classify-poly 1 0 1e400",
-                1,
-                "",
-                "error: change of basis out of float range: shift = beta/2 and scale = sqrt(|D|)/2"
-                " need |beta| and |D| at most 1.798e+308\n",
-            ),
-            # |D| = 4e-400 would be the float 0.0, and 4e-320 a subnormal float
-            *(
-                (
-                    f"classify-poly {a} 0 -1",
-                    1,
-                    "",
-                    "error: change of basis out of float range: scale = sqrt(|D|)/2"
-                    " needs |D| = 0 or at least 2.225e-308\n",
-                )
-                for a in ("1e400", "1e320")
-            ),
-        ],
-    )
-    def test_exact(self, capsys, argv, rc, out, err):
-        assert run(capsys, *argv.split()) == (rc, out, err)
+    # each row's test id is as it was before the table held it, argv then the digest or each expected value,
+    # cut to 400 characters for the 100,000-blank row
+    @pytest.mark.parametrize("row", BENCHMARK_ROWS, ids=lambda row: f"{' '.join(row[0])}-{row[2][len('sha256:'):]}")
+    def test_benchmark_digest(self, monkeypatch, capsys, row):
+        assert check(row, self.run(monkeypatch, capsys, row[0])) == []
+
+    @pytest.mark.parametrize("row", ROWS[len(BENCHMARK_ROWS):],
+                             ids=lambda row: "-".join(map(str, (" ".join(row[0]), *row[1:])))[:400])
+    def test_exact(self, monkeypatch, capsys, row):
+        assert check(row, self.run(monkeypatch, capsys, row[0])) == []
+
+    def test_child_runner(self):
+        # the table's own runner, one child per row, as CI runs it against the installed console script
+        proc = subprocess.run([sys.executable, str(Path(__file__).with_name("_cli_golden.py")), sys.executable, "-m",
+                               "planeint.cli"], env=ENV, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout
 
     def test_csv_rows_end_in_crlf(self, capsys):
         for argv in (["dts", "3"], ["table", "--ring", "k", "--bound", "1"]):
@@ -733,8 +657,8 @@ def _has_budget(argv):
         return args.n_max <= 50
     if args.command == "table":
         return args.bound <= 50
-    if args.command not in ("classify", "factor", "oracle"):
-        return True
+    if args.command not in ("classify", "factor", "oracle") or args.element == []:
+        return True  # an element a second "--" left out is refused before any work
     if args.command == "oracle" and args.mode == "prime" and args.box > 6:
         return False
     try:
@@ -742,6 +666,15 @@ def _has_budget(argv):
     except ElementParseError:
         return True
     return max(abs(z.x), abs(z.y)) <= (200 if args.command == "oracle" else 10**12)
+
+
+def _ends_well(argv):
+    """Whether main returns 0, 1 or 2 on argv, or argparse exits 0 or 2; any other exception escapes."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv) in (0, 1, 2)
+        except SystemExit as exc:  # argparse: --help, or a usage error
+            return exc.code in (0, 2)
 
 
 class TestArgvFuzz:
@@ -754,13 +687,24 @@ class TestArgvFuzz:
     def test_exit_codes(self, prefix, command, tokens):
         argv = [*prefix, command, *tokens]
         assume(_has_budget(argv))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:  # argparse: --help, or a usage error
-                assert exc.code in (0, 2), argv
-                return
-        assert rc in (0, 1, 2), argv
+        assert _ends_well(argv), argv
+
+
+class TestArgvSweep:
+    """Each command shape, cut after every argument, then 1-3 tokens: main ends in 0, 1, 2 or SystemExit(0 | 2)."""
+
+    SHAPES = ("classify 7+2i", "factor 30+8i", "divmod 27+5j 4+1j", "norm 12-5k", "dts 8",
+              "ideal 6+4j 10+2j --contains 4+2j", "oracle irreducible 3+1j", "oracle prime 2 --ring j --box 3",
+              "oracle divisors 12+6k", "classify-poly 1 -3 2", "exp --ring k 0 3", "pow --ring j 5 3 2",
+              "table --ring j --bound 3")
+    TOKENS = ("--", "-j", "3", "--ring", "--json", "-h", "-inf")
+
+    def test_nothing_escapes_main(self):
+        tails = [tail for n in (1, 2, 3) for tail in itertools.product(self.TOKENS, repeat=n)]
+        argvs = sorted({(*shape.split()[:n], *tail) for shape in self.SHAPES for n in range(1, len(shape.split()) + 1)
+                        for tail in tails})
+        for argv in map(list, argvs):
+            assert _ends_well(argv), argv
 
 
 def _parse(parser, argv):

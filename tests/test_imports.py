@@ -172,8 +172,10 @@ class TestPackageNames:
         exec("from planeint import *", namespace)
         assert all(namespace[name] is getattr(planeint, name) for name in planeint.__all__)
 
-    def test_submodule_attribute_is_the_module(self):
+    def test_submodule_attribute_is_the_module(self, monkeypatch):
         assert isinstance(planeint.oracle, types.ModuleType) and planeint.oracle.__name__ == "planeint.oracle"
+        monkeypatch.delattr(planeint, "oracle")  # as before its first import: read through __getattr__
+        assert planeint.oracle is sys.modules["planeint.oracle"]
         proc = child("-c", "import planeint; print(planeint.oracle.__name__, planeint.oracle.Verdict.__name__)")
         assert (proc.returncode, proc.stdout) == (0, b"planeint.oracle Verdict\n"), proc.stderr
 
