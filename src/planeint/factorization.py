@@ -210,7 +210,8 @@ def _factor_elliptic(a: Element) -> tuple[Element, list[Element]]:
         # a prime over p that does not divide rest does not divide its cofactors either,
         # so each is peeled while it divides, the first one first
         for prime in _gaussian_primes(a, p):
-            c = prime.canonical_associate()[0]
+            s, t = prime.x, prime.y  # s > 0; i·(s + ti) = -t + si is canonical when t < 0
+            c = prime if t >= 0 else _mk(prime.kind, -t, s)
             while copies and (q := divides(c, rest)) is not None:
                 factors.append(c)
                 rest = q

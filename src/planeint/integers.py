@@ -65,7 +65,7 @@ _MR_PROVEN = (
     (3_317_044_064_679_887_385_961_981, _MR_BASES[:13]),
 )
 
-_RHO_BATCH = 128  # rho steps whose differences share one gcd
+_RHO_BATCH = 64  # rho steps whose differences share one gcd; even, so a batch is whole double steps
 
 
 def _strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
@@ -100,12 +100,19 @@ def is_prime_int(n: int) -> bool:
     a row's first round: 2 rounds for n of up to 25 bits, 3 up to 36 bits, 4
     up to 44, 5 up to 51 and 7 up to 64.  Past 2⁶⁴ the bases are the first
     12 primes, then the first 13, which cover every
-    n < 3,317,044,064,679,887,385,961,981 (≈ 3.3·10²⁴).  Beyond that bound no
-    finite base set is proven: a failed round on any prime base below 100
+    n < 3,317,044,064,679,887,385,961,981 (≈ 3.3·10²⁴, ψ₁₃).
+
+    Cost model: a round is one modular power, cubic in the size of n: about
+    15 µs at 82 bits, 0.7 s at 2,000 digits and 7.4 s at 4,300.  Below ψ₁₃,
+    n has at most 82 bits and a round costs about five gcds, so the rows
+    run alone.  Beyond ψ₁₃, one gcd with the product of the primes below
+    2¹² comes first and proves composite every n with such a prime, most
+    odd n, in 3.4 µs at 82 bits and 0.17 ms at 4,300 digits.  No finite
+    base set is proven there: a failed round on any prime base below 100
     still proves n composite, and an n that passes them all is settled by odd
     trial division, which is exact but takes O(√n) steps, so for a prime
-    above 3.3·10²⁴ it does not finish in practice (2⁸⁹ - 1 would take about
-    10¹³ divisions).  ROADMAP items 2 (an operation budget) and 4 (exact
+    above ψ₁₃ it does not finish in practice (2⁸⁹ - 1 would take about 10¹³
+    divisions).  ROADMAP items 2 (an operation budget) and 4 (exact
     primality at every size) replace this path.
     """
     if n < _CROSSOVER:
@@ -115,6 +122,8 @@ def is_prime_int(n: int) -> bool:
     for bound, bases in _MR_PROVEN:
         if n < bound:
             return _strong_probable_prime(n, bases)
+    if gcd(n, _SMALL_PRODUCT) > 1:
+        return False
     return _strong_probable_prime(n, _MR_BASES) and all(n % f for f in range(3, isqrt(n) + 1, 2))
 
 
@@ -124,20 +133,40 @@ def _brent_rho(n: int) -> int:
     Pollard's rho with Brent's cycle detection (Brent 1980): the walk
     y -> y² + c starts at 2 with c = 1, and c moves on to 2, 3, ... only when a
     walk closes its cycle modulo n itself.  No randomness, so results repeat.
+
+    Past the first round (r = 1, single steps), each iteration moves the walk
+    two steps with one reduction: t = y² + c stays unreduced and
+    y = (t² + c) mod n, and the product takes (x − t)(x − y) in one
+    multiply-and-reduce.  t ≡ the skipped step modulo n, so every y, every
+    product and every gcd equal the single-step walk's modulo n.  A gcd is
+    taken once per ``_RHO_BATCH`` steps and at the end of each round; a batch
+    that collects every prime of n is retraced one step at a time from its
+    start.  The batch, 64, is the one of 16, 32, 64 and 128 whose worst size
+    lost least in a sweep over balanced semiprimes of 24 to 76 bits: a
+    smaller batch stops sooner after the collision, which pays below 2³⁰,
+    where two steps in one reduction save little, and a larger one takes
+    fewer gcds, which pays past 2⁶⁸, where two steps in one reduction save
+    nothing.
     """
     c = 1
     while True:
-        y, r, q, g = 2, 1, 1, 1
+        ys = 4 + c  # r = 1: x = 2 against the walk's second step
+        y = (ys * ys + c) % n
+        x, r = 2, 2
+        q = (x - y) % n
+        g = gcd(q, n)
         while g == 1:
             x = y
-            for _ in range(r):
-                y = (y * y + c) % n
+            for _ in range(r >> 1):
+                t = y * y + c
+                y = (t * t + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
+                for _ in range(min(_RHO_BATCH, r - k) >> 1):
+                    t = y * y + c
+                    y = (t * t + c) % n
+                    q = q * (x - t) * (x - y) % n
                 g = gcd(q, n)
                 k += _RHO_BATCH
             r *= 2
@@ -274,9 +303,13 @@ def int_factor(n: int) -> tuple[int, list[tuple[int, int]]]:
     every prime below 2¹² with one gcd (and, only when that gcd is above 1, a
     few more to say which); a cofactor left over is split, as an exact power
     r^j into r with j times its multiplicity and otherwise by Pollard–Brent
-    rho, until each piece is below 2²⁴ or passes :func:`is_prime_int`.  The
-    cost grows with the square root of the second-largest distinct prime
-    factor, so balanced semiprimes far above 64 bits stay slow.
+    rho, until each piece is below 2²⁴ or passes :func:`is_prime_int`.
+
+    Cost model: rho splits a piece in about √p steps, p the least prime of
+    the piece, at 0.25 to 0.7 µs a step from 28 to 76 bits, so the cost grows
+    with the square root of the second-largest distinct prime factor: a
+    balanced 64-bit semiprime takes about 30 ms, a 76-bit one about 0.3 s,
+    and balanced semiprimes far above that stay slow (ROADMAP item 5).
     """
     return _int_factor(n, False)
 

@@ -12,11 +12,42 @@ hand the recursion a factorizer over those primes instead of running rho at
 every level.
 
 ``wheel_int_factor`` is ``int_factor`` as it was before the small-prime gcd
-stage: trial division on the wheel mod 30 up to 2⁸, then the same rho walks.
+stage and the two-step rho walk: trial division on the wheel mod 30 up to
+2⁸, then its own single-step Pollard–Brent walk, which shares no code with
+the kernel's.
 """
 
+from math import gcd
+
 from planeint import Element, RingKind, divides, int_factor, is_irreducible, is_prime_int, sum_two_squares
-from planeint.integers import _brent_rho
+
+
+def single_step_rho(n):
+    """A proper divisor of an odd composite n: Brent's walk y -> y² + c, one reduction per step, a gcd per 128."""
+    c = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+        c += 1
 
 
 def wheel_int_factor(n):
@@ -47,7 +78,7 @@ def wheel_int_factor(n):
         if m < f * f or is_prime_int(m):
             counts[m] = counts.get(m, 0) + 1
         else:
-            d = _brent_rho(m)
+            d = single_step_rho(m)
             pending += (d, m // d)
     return sign, out + sorted(counts.items())
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 import sympy
@@ -134,6 +135,17 @@ class TestClassify:
             calls.clear()
             classify(z)
             assert len(calls) == 1, (z, calls)
+
+
+    def test_huge_gaussian_norm_with_a_small_prime(self):
+        # 2,000-digit coordinates with 5 | x² + y²: one gcd settles the 4,000-digit norm, no Miller–Rabin round
+        rng = random.Random(28)
+        x = rng.randrange(10**1999, 10**2000) // 10 * 10 + 1
+        y = rng.randrange(10**1999, 10**2000) // 10 * 10 + 2
+        start = time.perf_counter()
+        c = classify(C(x, y))
+        assert time.perf_counter() - start < 0.01
+        assert c.is_reducible and not (c.is_prime or c.is_irreducible)
 
 
 def _reference_flags(z):

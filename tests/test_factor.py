@@ -1,7 +1,8 @@
 import importlib
 import random
 import sys
-from math import isqrt, prod
+import time
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from planeint import (
     Element,
     RingKind,
     ZeroDivisorFactorizationError,
+    classify,
     diff_two_squares,
     elliptic,
     extended_gcd,
@@ -159,6 +161,42 @@ class TestIntegerKernel:
         inputs += [3215031751, 2152302898747, 1000003, 65537, 65539]  # ψ_4, ψ_5 and primes
         for n in inputs:
             assert is_prime_int(n) == sympy.isprime(n), n
+
+    def test_past_the_proven_bound_matches_sympy(self, monkeypatch):
+        rng = random.Random(26)
+        composites = []
+        while len(composites) < 100:  # random odd ones, most with a prime below 2¹², and semiprimes with none
+            bits = rng.randint(82, 192)
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1 if len(composites) % 2 else (
+                sympy.nextprime(rng.getrandbits(bits // 2)) * sympy.nextprime(rng.getrandbits(bits - bits // 2)))
+            if n > self.PROVEN_BOUND and not sympy.isprime(n):
+                composites.append(n)
+        primes = []
+        for _ in range(100):
+            bits = rng.randint(82, 192)
+            primes.append(sympy.nextprime(max(rng.getrandbits(bits) | 1 << (bits - 1), self.PROVEN_BOUND)))
+        for n in composites:
+            assert is_prime_int(n) == sympy.isprime(n), n
+        # a prime passes all 25 bases, then odd trial division to √n, which does not finish at these
+        # sizes (ROADMAP item 4); cut it at 2¹², below which the small-prime gcd has already divided
+        monkeypatch.setattr(kernel, "isqrt", lambda n: 1 << 12)
+        for n in primes:
+            assert is_prime_int(n) == sympy.isprime(n), n
+
+    def test_small_prime_past_the_proven_bound_takes_no_round(self, monkeypatch):
+        # one gcd with the primes below 2¹² answers, where one round at 4,300 digits takes seconds
+        def no_round(n, bases):
+            raise AssertionError("a Miller–Rabin round ran")
+
+        monkeypatch.setattr(kernel, "_strong_probable_prime", no_round)
+        rng = random.Random(27)
+        for p in (3, 4093, *rng.sample(kernel._SMALL_PRIMES[1:], 3)):
+            n = p * (rng.randrange(10**4299 // p + 1, 10**4300 // p) | 1)
+            assert 10**4299 <= n < 10**4300
+            start = time.perf_counter()
+            assert not is_prime_int(n)
+            assert time.perf_counter() - start < 0.01
+        assert not is_prime_int(self.PROVEN_BOUND * 4093)  # ψ₁₃ has no prime below 2¹²
 
     def test_sum_two_squares_random_primes(self):
         rng = random.Random(22)
@@ -397,6 +435,31 @@ class TestExactRoot:
             calls.clear()
             assert int_factor((p * q) ** k) == (1, [(p, k), (q, k)]), k
             assert calls == [p * q], k
+
+
+class TestRhoExits:
+    """Each way out of ``_brent_rho``, pinned by a semiprime on each side of 2³⁰, where n takes a second digit.
+
+    A walk's gcds read 1 until one of them is above 1.  A batch gcd of n means the batch went past the
+    first collision and is retraced step by step; a retraced gcd of n means the walk closed modulo n
+    itself, and the next c starts a new walk.
+    """
+
+    @pytest.mark.parametrize("n, exit", [
+        (401_360_987, "batch"),  # 20021 · 20047: the first batch of the 128-step round
+        (415_055_351, "retrace"),  # 20021 · 20731: the second batch of the 256-step round overshoots
+        (19_191_013, "restart"),  # 4153 · 4621: both primes collide at one step
+        (1_073_744_989, "batch"),  # 31793 · 33773: the first batch of the 128-step round
+        (1_074_317_263, "retrace"),  # 31793 · 33791: the first batch of the 256-step round overshoots
+        (1_074_699_049, "restart"),  # 4801 · 223849
+    ])
+    def test_exit(self, monkeypatch, n, exit):
+        results = []
+        monkeypatch.setattr(kernel, "gcd", lambda a, b: results.append(gcd(a, b)) or results[-1])
+        d = kernel._brent_rho(n)
+        assert 1 < d < n and n % d == 0
+        assert results[-1] == d
+        assert results.count(n) == {"batch": 0, "retrace": 1, "restart": 2}[exit], results
 
 
 class TestIntFactorMatchesWheel:
@@ -708,6 +771,15 @@ class TestFactorCost:
         # a hyperbolic semiprime or smooth element: both diagonal coordinates are non-units
         assert set(per_class["j", "semiprime"]) == set(per_class["j", "smooth"]) == {0}, per_class
         assert set(per_class["j", "prime"]) == {1}, per_class
+
+    def test_reducible_gaussian_factors_are_built_canonical(self, monkeypatch):
+        # each Gaussian prime is made canonical from its coordinates, with no canonical_associate call
+        elements = [z for z in _bignorm_inputs(1).values() if z.kind is RingKind.ELLIPTIC]
+        elements += [C(x, y) for x in range(-12, 13) for y in range(-12, 13)]
+        elements = [z for z in elements if _splittable(z) and not classify(z).is_irreducible]
+        expected = [referee_factor(z) for z in elements]
+        monkeypatch.setattr(Element, "canonical_associate", lambda self: pytest.fail(f"canonical_associate({self})"))
+        assert [_result(factor(z)) for z in elements] == expected
 
     def test_gaussian_primes_outside_the_content_are_read_from_the_element(self, monkeypatch):
         # norm 5³·65537·70001: the content 5 takes sum_two_squares, 65537 and 70001 do not
