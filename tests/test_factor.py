@@ -167,8 +167,10 @@ class TestIntegerKernel:
         composites = []
         while len(composites) < 100:  # random odd ones, most with a prime below 2¹², and semiprimes with none
             bits = rng.randint(82, 192)
-            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1 if len(composites) % 2 else (
-                sympy.nextprime(rng.getrandbits(bits // 2)) * sympy.nextprime(rng.getrandbits(bits - bits // 2)))
+            if len(composites) % 2:
+                n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            else:
+                n = sympy.nextprime(rng.getrandbits(bits // 2)) * sympy.nextprime(rng.getrandbits(bits - bits // 2))
             if n > self.PROVEN_BOUND and not sympy.isprime(n):
                 composites.append(n)
         primes = []
@@ -445,7 +447,7 @@ class TestRhoExits:
     itself, and the next c starts a new walk.
     """
 
-    @pytest.mark.parametrize("n, exit", [
+    @pytest.mark.parametrize("n, way_out", [
         (401_360_987, "batch"),  # 20021 · 20047: the first batch of the 128-step round
         (415_055_351, "retrace"),  # 20021 · 20731: the second batch of the 256-step round overshoots
         (19_191_013, "restart"),  # 4153 · 4621: both primes collide at one step
@@ -453,13 +455,13 @@ class TestRhoExits:
         (1_074_317_263, "retrace"),  # 31793 · 33791: the first batch of the 256-step round overshoots
         (1_074_699_049, "restart"),  # 4801 · 223849
     ])
-    def test_exit(self, monkeypatch, n, exit):
+    def test_exit(self, monkeypatch, n, way_out):
         results = []
         monkeypatch.setattr(kernel, "gcd", lambda a, b: results.append(gcd(a, b)) or results[-1])
         d = kernel._brent_rho(n)
         assert 1 < d < n and n % d == 0
         assert results[-1] == d
-        assert results.count(n) == {"batch": 0, "retrace": 1, "restart": 2}[exit], results
+        assert results.count(n) == {"batch": 0, "retrace": 1, "restart": 2}[way_out], results
 
 
 class TestIntFactorMatchesWheel:
