@@ -46,7 +46,7 @@ from __future__ import annotations
 from .classification import Classification, classify
 from .core import _ELLIPTIC, _HYPERBOLIC, _PARABOLIC, Element, RingError, RingKind, _cornacchia, _mk, _Record
 from .euclid import divides
-from .integers import _int_factor_composite, int_factor, sum_two_squares, two_adic_valuation
+from .integers import _int_factor_composite, _strip_small, int_factor, sum_two_squares, two_adic_valuation
 
 
 class ZeroDivisorFactorizationError(RingError):
@@ -142,21 +142,41 @@ def split(a: Element) -> tuple[Element, Element] | None:
     the first factor :func:`factor` peels.  Parabolic, with s the sign of x:
     ``s·p`` when ``|x| = p^g``, else ``s·(m + kr)``, the piece :func:`factor`
     builds at the power m of the least prime of x; on the axis, ``ky = y * k``.
+
+    Cost model: the verdict, then the least prime of η⁺, of |u| and |v|
+    (odd), or of |x|.  A prime below 2¹² is read from one gcd with the
+    product of those primes, and the rest of the number is never factored:
+    about 12 µs for 5·p·q with p and q of 80 bits.  Only a number with no
+    such prime takes a full factorization, as :func:`factor` does.
     """
     if _verdict(a).is_irreducible:
         return None
     kind = a.kind
     if kind is _ELLIPTIC:
-        witnesses = _gaussian_primes(a, _int_factor_composite(a.x * a.x + a.y * a.y)[1][0][0])
+        n = a.x * a.x + a.y * a.y
+        small = _strip_small(n)[0]
+        witnesses = _gaussian_primes(a, small[0][0] if small else _int_factor_composite(n)[1][0][0])
     elif kind is _HYPERBOLIC:
-        witnesses = [_from_diagonal(*_hyperbolic_peel(a)[2][0])]
+        # the odd primes below 2¹² of |u| (side 0) and |v| (side 1); the least, u's on a tie,
+        # is the peel's first factor, and the peel factors u and v only when there is none
+        u, v = a.x + a.y, a.x - a.y
+        odd = [(p, side) for side, w in enumerate((u, v)) for p, _ in _strip_small(abs(w))[0] if p != 2]
+        if odd:
+            p, side = min(odd)
+            witnesses = [_from_diagonal(1, p) if side else _from_diagonal(p, 1)]
+        else:
+            witnesses = [_from_diagonal(*_hyperbolic_peel(a)[2][0])]
     elif a.x == 0:
         witnesses = [_mk(kind, a.y, 0)]
     else:
         s = 1 if a.x > 0 else -1
-        x_primes = int_factor(a.x)[1]
-        p, g = x_primes[0]
-        if len(x_primes) == 1:  # |x| = p^g with g >= 2 and p | y
+        small, rest = _strip_small(s * a.x)
+        if small:
+            (p, g), power = small[0], len(small) == 1 and rest == 1
+        else:
+            x_primes = int_factor(a.x)[1]
+            (p, g), power = x_primes[0], len(x_primes) == 1
+        if power:  # |x| = p^g with g >= 2 and p | y
             witnesses = [_mk(kind, s * p, 0)]
         else:
             m = p**g

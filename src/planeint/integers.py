@@ -42,18 +42,18 @@ _MR_BASES = _SMALL_PRIMES[:25]  # the primes below 100
 
 # (bound, bases): every odd composite n < bound fails the strong test to one
 # of the bases.  Below 2⁶⁴ each row is the smallest published set for its
-# size, 2 to 7 rounds: ψ₂ = 1,373,653 with {2, 3} and the {2, 7, 61} row are
-# Jaeschke's (1993); the rows below 19,471,033, 38,010,307 and from
-# 105,936,894,253 to 3,071,837,692,357,849 are from miller-rabin.appspot.com;
+# size, 2 to 7 rounds: the {2, 7, 61} row is Jaeschke's (1993); the rows
+# below 19,471,033, 38,010,307 and from 105,936,894,253 to
+# 3,071,837,692,357,849 are from miller-rabin.appspot.com;
 # {2, 325, ..., 1795265022} below 2⁶⁴ is Sinclair's (2011).  The last two
 # sources checked their sets against Feitsma's complete list of strong
 # base-2 pseudoprimes below 2⁶⁴; since every row starts with 2, only a
 # composite on that list can pass a row's first round.  Every base is
-# below the previous row's bound, the least n its row serves, so no base is
-# ≡ 0 (mod n).  Past 2⁶⁴ the rows are ψ₁₂ and ψ₁₃ with the first 12 and 13
-# primes (Jaeschke 1993; Sorenson & Webster 2015).
+# below the least n its row serves, 2²⁴ for the first row and the previous
+# row's bound for the others, so no base is ≡ 0 (mod n).  Past 2⁶⁴ the rows
+# are ψ₁₂ and ψ₁₃ with the first 12 and 13 primes (Jaeschke 1993; Sorenson &
+# Webster 2015).
 _MR_PROVEN = (
-    (1_373_653, (2, 3)),
     (19_471_033, (2, 299417)),
     (38_010_307, (2, 9332593)),
     (4_759_123_141, (2, 7, 61)),
@@ -94,31 +94,36 @@ def _strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
 def is_prime_int(n: int) -> bool:
     """Exact primality of an integer.
 
-    Below 2¹⁶ this is a table lookup.  Above it, deterministic Miller–Rabin
-    on the bases of the first ``_MR_PROVEN`` row whose bound exceeds n, each
-    set starting with 2, so that only a strong base-2 pseudoprime gets past
-    a row's first round: 2 rounds for n of up to 25 bits, 3 up to 36 bits, 4
-    up to 44, 5 up to 51 and 7 up to 64.  Past 2⁶⁴ the bases are the first
-    12 primes, then the first 13, which cover every
-    n < 3,317,044,064,679,887,385,961,981 (≈ 3.3·10²⁴, ψ₁₃).
+    Below 2¹⁶ this is a table lookup.  An odd n below 2²⁴ = (2¹²)² is prime
+    exactly when it has no prime below 2¹², which one gcd with their product
+    decides.  From 2²⁴, deterministic Miller–Rabin on the bases of the first
+    ``_MR_PROVEN`` row whose bound exceeds n, each set starting with 2, so
+    that only a strong base-2 pseudoprime gets past a row's first round: 2
+    rounds below 38,010,307 (26 bits), 3 up to 36 bits, 4 up to 44, 5 up to
+    51 and 7 up to 64.  Past 2⁶⁴ the bases are the first 12 primes, then the
+    first 13, which cover every n < 3,317,044,064,679,887,385,961,981
+    (≈ 3.3·10²⁴, ψ₁₃).
 
-    Cost model: a round is one modular power, cubic in the size of n: about
-    15 µs at 82 bits, 0.7 s at 2,000 digits and 7.4 s at 4,300.  Below ψ₁₃,
-    n has at most 82 bits and a round costs about five gcds, so the rows
-    run alone.  Beyond ψ₁₃, one gcd with the product of the primes below
-    2¹² comes first and proves composite every n with such a prime, most
-    odd n, in 3.4 µs at 82 bits and 0.17 ms at 4,300 digits.  No finite
-    base set is proven there: a failed round on any prime base below 100
-    still proves n composite, and an n that passes them all is settled by odd
-    trial division, which is exact but takes O(√n) steps, so for a prime
-    above ψ₁₃ it does not finish in practice (2⁸⁹ - 1 would take about 10¹³
-    divisions).  ROADMAP items 2 (an operation budget) and 4 (exact
-    primality at every size) replace this path.
+    Cost model: below 2²⁴ the one gcd takes about 1.5 µs, where two rounds
+    took 2.7 µs on a 20-bit prime.  A round is one modular power, cubic in
+    the size of n: about 15 µs at 82 bits, 0.7 s at 2,000 digits and 7.4 s
+    at 4,300.  From 2²⁴ to ψ₁₃, n has at most 82 bits and a round costs
+    about five gcds, so the rows run alone.  Beyond ψ₁₃, one gcd with the
+    product of the primes below 2¹² comes first and proves composite every
+    n with such a prime, most odd n, in 3.4 µs at 82 bits and 0.17 ms at
+    4,300 digits.  No finite base set is proven there: a failed round on any
+    prime base below 100 still proves n composite, and an n that passes them
+    all is settled by odd trial division, which is exact but takes O(√n)
+    steps, so for a prime above ψ₁₃ it does not finish in practice (2⁸⁹ - 1
+    would take about 10¹³ divisions).  ROADMAP items 2 (an operation budget)
+    and 4 (exact primality at every size) replace this path.
     """
     if n < _CROSSOVER:
         return n > 1 and not _FACTOR_OF[n]
     if n % 2 == 0:
         return False
+    if n < _SMOOTH_PRIME_END:
+        return gcd(n, _SMALL_PRODUCT) == 1
     for bound, bases in _MR_PROVEN:
         if n < bound:
             return _strong_probable_prime(n, bases)

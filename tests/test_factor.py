@@ -2,6 +2,7 @@ import importlib
 import random
 import sys
 import time
+from itertools import chain
 from math import gcd, isqrt, prod
 from pathlib import Path
 
@@ -153,12 +154,12 @@ class TestIntegerKernel:
             assert int_factor(p**e * 11) == (1, sorted([(p, e), (11, 1)])), (p, e)
 
     def test_trial_division_decides_beyond_the_proven_table(self, monkeypatch):
-        # with no proven row, every n >= 2**16 takes the path of an n above 3.3·10²⁴:
-        # all 25 bases, then trial division for the n that pass them
+        # with no proven row, every n >= 2**24 takes the path of an n above 3.3·10²⁴:
+        # the small-prime gcd, all 25 bases, then trial division for the n that pass them
         monkeypatch.setattr(kernel, "_MR_PROVEN", ())
         rng = random.Random(23)
-        inputs = [rng.getrandbits(rng.randint(17, 36)) for _ in range(300)]
-        inputs += [3215031751, 2152302898747, 1000003, 65537, 65539]  # ψ_4, ψ_5 and primes
+        inputs = [rng.getrandbits(rng.randint(25, 36)) for _ in range(300)]
+        inputs += [3215031751, 2152302898747, 16777259, 1000000007, 4099**2]  # ψ_4, ψ_5, primes, 4099²
         for n in inputs:
             assert is_prime_int(n) == sympy.isprime(n), n
 
@@ -209,6 +210,36 @@ class TestIntegerKernel:
             if rs:
                 a, b = rs
                 assert a * a + b * b == p and a >= b > 0, p
+
+
+class TestOneGcdBelowTwoToThe24:
+    """From 2¹⁶ to 2²⁴ = (2¹²)², an odd n is prime exactly when it has no prime below 2¹²."""
+
+    def test_boundaries(self):
+        assert not is_prime_int(4093 * 4099)  # 16,777,207 < 2²⁴: its one small prime is the last below 2¹²
+        assert is_prime_int(16_777_213)  # the largest prime below 2²⁴
+        assert not is_prime_int(4099**2)  # the least composite with no prime below 2¹², past 2²⁴
+
+    def test_matches_a_sieve(self):
+        end = (1 << 24) + (1 << 12)
+        composite = bytearray(end)
+        composite[:2] = b"\1\1"
+        for p in range(2, isqrt(end) + 1):
+            if not composite[p]:
+                composite[p * p :: p] = b"\1" * len(range(p * p, end, p))
+        rng = random.Random(34)
+        windows = (range(1 << 16, (1 << 16) + (1 << 15)), range((1 << 24) - (1 << 15), end))
+        for n in chain(*windows, (rng.randrange(1 << 16, end) for _ in range(20_000))):
+            assert is_prime_int(n) == (not composite[n]), n
+
+    def test_takes_no_round(self, monkeypatch):
+        def no_round(n, bases):
+            raise AssertionError("a Miller–Rabin round ran")
+
+        monkeypatch.setattr(kernel, "_strong_probable_prime", no_round)
+        rng = random.Random(35)
+        for n in (65537, 4093 * 4099, 16_777_213, *(rng.randrange(1 << 16, 1 << 24) for _ in range(1000))):
+            assert is_prime_int(n) == sympy.isprime(n), n
 
 
 # The earlier cascade, kept as a referee: (ψ_k, k), the first k prime bases below ψ_k
@@ -266,7 +297,7 @@ class TestProvenBaseTable:
     def test_rows_are_ordered_and_start_with_two(self):
         bounds = [bound for bound, _ in kernel._MR_PROVEN]
         assert bounds == sorted(set(bounds))
-        previous = 1 << 16  # the least n the first row serves
+        previous = 1 << 24  # the least n the first row serves: one gcd decides every n below it
         for bound, bases in kernel._MR_PROVEN:
             assert bases[0] == 2, bound
             assert all(1 < a < previous for a in bases), bound  # no base is 0 mod the n its row serves
@@ -312,6 +343,13 @@ class TestProvenBaseTable:
     def test_rejects_every_strong_base2_pseudoprime_below_two_to_the_21(self):
         pseudoprimes = _strong_base2_pseudoprimes(1 << 16, 1 << 21)
         assert {74665, 80581, 85489, 88357, 90751, 1373653} <= set(pseudoprimes)
+        for n in pseudoprimes:
+            assert not is_prime_int(n), n
+
+    def test_rejects_every_strong_base2_pseudoprime_from_two_to_the_24(self):
+        # below 2²⁴ the small-prime gcd answers; these pass the first row's base 2 and meet its second base
+        pseudoprimes = _strong_base2_pseudoprimes(1 << 24, (1 << 24) + (1 << 21))
+        assert len(pseudoprimes) > 10 and pseudoprimes[-1] < kernel._MR_PROVEN[0][0]
         for n in pseudoprimes:
             assert not is_prime_int(n), n
 
@@ -504,13 +542,45 @@ class TestSplit:
             calls.append(n)
             return int_factor(n)
 
-        # the parabolic verdict never factors x, so planeint.factor holds the only call,
-        # and only a reducible element needs it for its witness
+        # the parabolic verdict never factors x, and the witness is read from x's least prime
+        # below 2¹² when it has one; only a reducible x with none is factored, once
         monkeypatch.setattr(FACTOR_MODULE, "int_factor", counting)
-        for z, expected in ((K(6, 5), [6]), (K(-6, 5), [-6]), (K(9, 3), [9]), (K(9, 1), [])):
+        cases = ((K(6, 5), []), (K(-6, 5), []), (K(9, 3), []), (K(9, 1), []), (K(4099 * 4111, 5), [4099 * 4111]),
+                 (K(-4099 * 4111, 5), [-4099 * 4111]), (K(4099**2, 4099), [4099**2]), (K(4099**2, 1), []))
+        for z, expected in cases:
             calls.clear()
-            split(z)
+            pair = split(z)
             assert calls == expected, (z, calls)
+            assert (pair is None) == (z in (K(9, 1), K(4099**2, 1))), z
+
+    @pytest.mark.parametrize("bits", [61, 80])
+    @pytest.mark.parametrize("kind", list(RingKind))
+    def test_small_prime_beside_a_hard_cofactor(self, kind, bits, monkeypatch):
+        # 5·p·q with balanced p, q ≡ 1 (mod 4) past rho's reach: the witness comes from 5 alone
+        def no_rho(n):
+            raise AssertionError(f"rho ran on {n}")
+
+        monkeypatch.setattr(kernel, "_brent_rho", no_rho)
+        rng = random.Random(bits)
+        p, q = (sympy.nextprime(rng.getrandbits(bits - 1) | 1 << (bits - 1)) for _ in "pq")
+        while p % 4 != 1 or q % 4 != 1:
+            p, q = (r if r % 4 == 1 else sympy.nextprime(r) for r in (p, q))
+        if kind is RingKind.ELLIPTIC:  # (2 + i)(s + ti)(s' + t'i), norm 5pq
+            a = C(2, 1) * C(*sum_two_squares(p)) * C(*sum_two_squares(q))
+            want = (C(2, 1), C(2, -1))
+        elif kind is RingKind.HYPERBOLIC:  # diagonal coordinates (5pq, 7pq)
+            a = H(6 * p * q, -p * q)
+            want = (H(3, 2),)
+        else:
+            a = K(5 * p * q, 1)
+            want = (K(5, pow(p * q, -1, 5)),)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            b, c = split(a)
+            best = min(best, time.perf_counter() - start)
+        assert b in want and b * c == a, (kind, b)
+        assert best < 0.005, (kind, bits, best)
 
     def test_negative_real_part(self):
         pair = split(K(-6, 5))
