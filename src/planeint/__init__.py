@@ -11,10 +11,7 @@ _SOURCES = {
         "OutOfSectorError", "PolarForm", "RealElement", "euler_check", "exp_theta", "polar_decompose",
         "pow_moivre",
     ),
-    "classification": (
-        "Classification", "IrreducibleForm", "PrimeIntegerReport", "classify", "is_irreducible", "is_prime",
-        "prime_integer_behavior",
-    ),
+    "classification": ("Classification", "IrreducibleForm", "classify", "is_irreducible", "is_prime"),
     "core": (
         "Element", "KindMismatchError", "NotInvertibleError", "RingError", "RingKind", "WrongRingError",
         "diagonal_coords", "elliptic", "format_element", "from_diagonal_coords", "hyperbolic",
@@ -24,7 +21,10 @@ _SOURCES = {
         "DivResult", "DivisorIsZeroDivisorError", "FGIdeal", "IdealDecomposition", "decompose", "div_rem",
         "divides", "ideal_contains",
     ),
-    "factorization": ("Factorization", "ZeroDivisorFactorizationError", "factor", "split"),
+    "factorization": (
+        "Factorization", "PrimeIntegerReport", "ZeroDivisorFactorizationError", "factor",
+        "prime_integer_behavior", "split",
+    ),
     "integers": (
         "diff_two_squares", "extended_gcd", "int_factor", "is_prime_int", "sum_two_squares",
         "two_adic_valuation",

@@ -22,9 +22,9 @@ Highlights of the landscape these rules encode:
 
 Each ring's rule, and the rule that zero and units carry no prime or
 irreducible flag, is stated once, in :func:`classify`.  :func:`is_prime`,
-:func:`is_irreducible` and :func:`planeint.factorization.split` read their
-answer from its verdict; :func:`prime_integer_behavior` takes its flags from
-it and its witness from ``split``.
+:func:`is_irreducible`, :func:`planeint.factorization.split` and
+:func:`planeint.factorization.prime_integer_behavior` read their answer from
+its verdict.
 
 Cost model: :func:`classify` computes the norm once, from x, y and θ², and
 builds no record: it returns one of a fixed set of interned
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _HYPERBOLIC, _PARABOLIC, Element, RingKind, _Record
+from .core import _HYPERBOLIC, _PARABOLIC, Element, _Record
 from .integers import _prime_power, is_prime_int
 
 
@@ -152,46 +152,10 @@ def is_irreducible(z: Element) -> bool:
     return classify(z).is_irreducible
 
 
-class PrimeIntegerReport(_Record):
-    """How an integer prime behaves when read inside one of the rings."""
-
-    __slots__ = __match_args__ = ("is_prime_elt", "is_irreducible_elt", "witness")
-    is_prime_elt: bool
-    is_irreducible_elt: bool
-    witness: tuple[Element, Element] | None
-
-    def __init__(
-        self, is_prime_elt: bool, is_irreducible_elt: bool, witness: tuple[Element, Element] | None
-    ) -> None:
-        set_is_prime_elt, set_is_irreducible_elt, set_witness = self._setters
-        set_is_prime_elt(self, is_prime_elt)
-        set_is_irreducible_elt(self, is_irreducible_elt)
-        set_witness(self, witness)
-
-
-def prime_integer_behavior(p: int, kind: RingKind) -> PrimeIntegerReport:
-    """Prime/irreducible status of the integer prime p in the given ring.
-
-    The flags are :func:`classify`'s verdict on ``p + 0θ``; where p splits,
-    the witness is :func:`planeint.factorization.split`'s pair of non-unit
-    factors with product p, e.g. ``((n+1)+jn)((n+1)-jn)`` for p = 2n+1 in the
-    hyperbolic ring and a conjugate pair ``(a+ib)(a-ib)`` in the Gaussian one.
-    """
-    from .factorization import split  # factorization imports this module
-
-    if not is_prime_int(p):
-        raise ValueError(f"{p} is not prime")
-    z = Element(kind, p, 0)
-    c = classify(z)
-    return PrimeIntegerReport(c.is_prime, c.is_irreducible, split(z))
-
-
 __all__ = [
     "Classification",
     "IrreducibleForm",
-    "PrimeIntegerReport",
     "classify",
     "is_irreducible",
     "is_prime",
-    "prime_integer_behavior",
 ]

@@ -449,6 +449,11 @@ def from_diagonal_coords(u: int, v: int) -> Element:
     return Element(_HYPERBOLIC, (u + v) // 2, (u - v) // 2)
 
 
+def _from_diagonal(u: int, v: int) -> Element:
+    """``from_diagonal_coords(u, v)`` for u ≡ v (mod 2), unchecked."""
+    return _mk(_HYPERBOLIC, (u + v) >> 1, (u - v) >> 1)
+
+
 # -- Gaussian primes and ideals from a square root of -1 --------------------
 #
 # Here, not in ``integers``: ``euclid`` runs the descent on an ideal's norm, and

@@ -26,9 +26,9 @@ from .core import (
     RingError,
     RingKind,
     _cornacchia,
+    _from_diagonal,
     _mk,
     _Record,
-    from_diagonal_coords,
 )
 
 
@@ -330,7 +330,7 @@ def decompose(ideal: FGIdeal) -> IdealDecomposition:
         if not (p and q):
             return IdealDecomposition(kind, None, p // 2, q // 2, 0)
         k = 2 if all((u // p - v // q) % 2 == 0 for u, v in uvs) else 1
-        dec = IdealDecomposition(kind, from_diagonal_coords(p, q), k * p // 2, k * q // 2, 0)
+        dec = IdealDecomposition(kind, _from_diagonal(p, q), k * p // 2, k * q // 2, 0)
     elif kind is _ELLIPTIC:
         alpha, index = _gaussian_alpha(gens)
         dec = IdealDecomposition(kind, alpha, 0, 0, 0)

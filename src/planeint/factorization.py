@@ -38,15 +38,20 @@ only a list of two or more factors is sorted.
   are peeled from a piece while it stays reducible.
 
 The factors are the ones the recursion ``a = b·c`` through :func:`split`
-reaches, down to the choice among the non-unique factorizations.
+reaches, down to the choice among the non-unique factorizations, and
+:func:`prime_integer_behavior` reads its witness from ``split`` as well.
 """
 
 from __future__ import annotations
 
 from .classification import Classification, classify
-from .core import _ELLIPTIC, _HYPERBOLIC, _PARABOLIC, Element, RingError, RingKind, _cornacchia, _mk, _Record
+from .core import (
+    _ELLIPTIC, _HYPERBOLIC, _PARABOLIC, Element, RingError, RingKind, _cornacchia, _from_diagonal, _mk, _Record,
+)
 from .euclid import divides
-from .integers import _int_factor_composite, _strip_small, int_factor, sum_two_squares, two_adic_valuation
+from .integers import (
+    _int_factor_composite, _strip_small, int_factor, is_prime_int, sum_two_squares, two_adic_valuation,
+)
 
 
 class ZeroDivisorFactorizationError(RingError):
@@ -96,11 +101,6 @@ def _gaussian_primes(a: Element, p: int) -> tuple[Element, ...]:
         return (_mk(kind, s, t),)
     s, t = sum_two_squares(p)
     return _mk(kind, s, t), _mk(kind, s, -t)
-
-
-def _from_diagonal(u: int, v: int) -> Element:
-    """``from_diagonal_coords(u, v)`` for u ≡ v (mod 2), unchecked."""
-    return _mk(_HYPERBOLIC, (u + v) >> 1, (u - v) >> 1)
 
 
 def _hyperbolic_peel(a: Element) -> tuple[int, int, list[tuple[int, int]]]:
@@ -186,6 +186,35 @@ def split(a: Element) -> tuple[Element, Element] | None:
         if c is not None:
             return b, c
     raise FactorWitnessError(f"no witness read from the norm of {a} divides it")
+
+
+class PrimeIntegerReport(_Record):
+    """How an integer prime behaves when read inside one of the rings."""
+
+    __slots__ = __match_args__ = ("is_prime_elt", "is_irreducible_elt", "witness")
+    is_prime_elt: bool
+    is_irreducible_elt: bool
+    witness: tuple[Element, Element] | None
+
+    def __init__(self, is_prime_elt: bool, is_irreducible_elt: bool, witness: tuple[Element, Element] | None) -> None:
+        set_is_prime_elt, set_is_irreducible_elt, set_witness = self._setters
+        set_is_prime_elt(self, is_prime_elt)
+        set_is_irreducible_elt(self, is_irreducible_elt)
+        set_witness(self, witness)
+
+
+def prime_integer_behavior(p: int, kind: RingKind) -> PrimeIntegerReport:
+    """Prime/irreducible status of the integer prime p in the given ring.
+
+    The flags are :func:`classify`'s verdict on ``p + 0θ``; where p splits,
+    the witness is :func:`split`'s pair, e.g. ``((n+1)+jn)((n+1)-jn)`` for
+    p = 2n+1 in the hyperbolic ring, a conjugate pair in the Gaussian one.
+    """
+    if not is_prime_int(p):
+        raise ValueError(f"{p} is not prime")
+    z = Element(kind, p, 0)
+    c = classify(z)
+    return PrimeIntegerReport(c.is_prime, c.is_irreducible, split(z))
 
 
 # -- full factorization -------------------------------------------------------
@@ -302,7 +331,9 @@ def factor(a: Element) -> Factorization:
 
 __all__ = [
     "Factorization",
+    "PrimeIntegerReport",
     "ZeroDivisorFactorizationError",
     "factor",
+    "prime_integer_behavior",
     "split",
 ]

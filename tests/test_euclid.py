@@ -689,8 +689,8 @@ class TestInvariantChecks:
     def test_hyperbolic_closed_form_minimality(self, monkeypatch):
         # a closed form that doubled both diagonal coordinates would give α = (6, 2),
         # four times the least norm of the ideal (2 + j) = (3, 1)
-        real = euclid.from_diagonal_coords
-        monkeypatch.setattr(euclid, "from_diagonal_coords", lambda u, v: real(2 * u, 2 * v))
+        real = euclid._from_diagonal
+        monkeypatch.setattr(euclid, "_from_diagonal", lambda u, v: real(2 * u, 2 * v))
         with pytest.raises(EuclidInvariantError, match="not minimal"):
             decompose(FGIdeal.of(H(2, 1)))
 

@@ -171,6 +171,9 @@ class TestPackageNames:
         namespace: dict = {}
         exec("from planeint import *", namespace)
         assert all(namespace[name] is getattr(planeint, name) for name in planeint.__all__)
+        # and in a fresh interpreter, where each name is resolved for the first time
+        proc = child("-c", "from planeint import *")
+        assert proc.returncode == 0, proc.stderr
 
     def test_submodule_attribute_is_the_module(self, monkeypatch):
         assert isinstance(planeint.oracle, types.ModuleType) and planeint.oracle.__name__ == "planeint.oracle"
